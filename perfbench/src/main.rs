@@ -135,6 +135,13 @@ impl Fnv {
     }
 }
 
+/// CPUs the process may run on when it starts, read once: the serving workload
+/// later pins itself to one of them, which `available_parallelism` would see.
+pub fn host_cpus() -> usize {
+    static CPUS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *CPUS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
 /// Process peak resident set (`VmHWM`), in MiB.
 pub fn peak_rss_mb() -> f64 {
     std::fs::read_to_string("/proc/self/status")
@@ -251,6 +258,7 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
+    host_cpus();
     let steal_before = cpu_steal_jiffies();
     let outcome = match args.workload.as_str() {
         "stream-mixed" => serve_bench::stream_mixed(args.seed, args.seconds, args.trace),
@@ -295,7 +303,7 @@ fn main() -> ExitCode {
         args.seed,
         args.seconds,
         u8::from(args.trace),
-        std::thread::available_parallelism().map_or(1, |n| n.get()),
+        host_cpus(),
         json_str(&rustc_version()),
         json_str(&git_commit()),
         run.tally.failed_ratio(),

@@ -8,7 +8,7 @@ use crate::gen::{self, Line, Target};
 use crate::spans::Recorder;
 use crate::stats::{median, percentile, sorted, tail_supported};
 use crate::tally::Expect;
-use crate::{layers, pack_bench, peak_rss_mb, Run, DEFAULT_SEED};
+use crate::{host_cpus, layers, pack_bench, peak_rss_mb, Run, DEFAULT_SEED};
 use std::collections::BTreeMap;
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
@@ -18,12 +18,12 @@ use tcp_serve::{ServeOptions, Server, ServerReport};
 /// Reply-stream digest of the first pass over the corpus at [`DEFAULT_SEED`].
 const STREAM_DIGEST: u64 = 0xa5e6_3ee9_e14e_8c2b;
 
-/// Set-up repetitions per run; `setup_s` is their median.
-const SETUP_REPS: usize = 48;
+/// Set-up repetitions after each closed-loop block of an untraced run.
+const SETUP_REPS: usize = 5;
 /// Untimed traffic before each timed phase.
 const WARMUP: Duration = Duration::from_millis(200);
-/// Fresh servers per untraced run, so one unlucky thread placement cannot set
-/// a whole run's figures.
+/// Fresh servers per untraced run, so one server's state (its threads' malloc
+/// arenas, its warm-up) cannot set a whole run's figures.
 const ROUNDS: usize = 4;
 /// Distinct lines in the `stream-mixed` corpus (resent cyclically).
 const STREAM_LINES: usize = 4096;
@@ -38,10 +38,20 @@ const INVALID_EVERY: usize = 8;
 const ERROR_PROBES: usize = 256;
 /// Outstanding requests in the pipelined phase: four default `max_batch` batches.
 const WINDOW: u64 = 1024;
-/// Timed phases run as this many equal blocks; a metric is the median of its
-/// per-block values, so a burst of host contention moves a few blocks and not
-/// the figure.
+/// Timed phases run as this many equal blocks; the pipelined rate and the
+/// round-trip p99 are the medians of their per-block values, so a burst of
+/// host contention moves a few blocks and not the figure.
 const BLOCKS: u32 = 20;
+/// Closed-loop slice: each slice's median round trip is one sample of
+/// `latency_p50_us`.
+const SLICE: Duration = Duration::from_millis(25);
+/// The quantile of the slice medians, and of the set-up times, that an
+/// untraced `stream-mixed` run reports.  The host alternates between a
+/// contended state and a quiet one, in which round trips and set-up take about
+/// 60 % of their contended time, and the mix changes from run to run.  The
+/// 90th percentile reads the contended state whenever it fills a tenth of a
+/// run, instead of jumping with the mix as the median does.
+const CONTENDED: f64 = 0.9;
 /// Traced runs alternate this many untraced and traced blocks.
 const TRACE_BLOCKS: u32 = 8;
 /// Length of an allocation-counting pass.
@@ -49,11 +59,45 @@ const COUNT_PASS: Duration = Duration::from_millis(500);
 
 /// The server configuration: at most two workers, never more than the host has.
 fn server_options() -> ServeOptions {
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     ServeOptions {
-        workers: cores.clamp(1, 2),
+        workers: host_cpus().clamp(1, 2),
         ..ServeOptions::default()
     }
+}
+
+/// Restricts every thread of this process, and every thread it starts later,
+/// to the highest CPU it may run on, with `taskset`.  Client, acceptor and
+/// workers then share one CPU: a round trip is their work plus two context
+/// switches, and no longer depends on where the scheduler places the threads
+/// or on how fast the hypervisor wakes an idle vCPU.  Returns the CPU.
+fn pin_to_one_cpu() -> Result<u32, String> {
+    let status = std::fs::read_to_string("/proc/self/status").map_err(|e| e.to_string())?;
+    let allowed = status
+        .lines()
+        .find_map(|l| l.strip_prefix("Cpus_allowed_list:"))
+        .ok_or("no Cpus_allowed_list in /proc/self/status")?;
+    let cpu: u32 = allowed
+        .trim()
+        .rsplit([',', '-'])
+        .next()
+        .and_then(|c| c.parse().ok())
+        .ok_or_else(|| format!("cannot read Cpus_allowed_list `{}`", allowed.trim()))?;
+    let pinned = std::process::Command::new("taskset")
+        .args([
+            "-a",
+            "-p",
+            "-c",
+            &cpu.to_string(),
+            &std::process::id().to_string(),
+        ])
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::null())
+        .status()
+        .map_err(|e| format!("taskset: {e}"))?;
+    if !pinned.success() {
+        return Err(format!("taskset exited with {pinned}"));
+    }
+    Ok(cpu)
 }
 
 /// The served pack as the operator ships it, kept to time its encoding.
@@ -128,40 +172,43 @@ pub fn prepare_multi(multi: MultiPack, seed: u64) -> Result<Prepared, String> {
     })
 }
 
-/// Decodes the pack and starts the server `reps` times, keeping the last server;
-/// returns it with every set-up time in seconds.
-fn start_server(pack_json: &str, reps: usize) -> Result<(Server, Vec<f64>), String> {
-    let mut times = Vec::with_capacity(reps);
-    loop {
-        let started = Instant::now();
-        let advisor = MultiAdvisor::from_json(pack_json).map_err(|e| e.to_string())?;
-        let server = Server::start(advisor, server_options())?;
-        times.push(started.elapsed().as_secs_f64());
-        if times.len() >= reps {
-            return Ok((server, times));
-        }
+/// Decodes the pack and starts a server; returns it with its set-up time in
+/// seconds.
+fn start_server(pack_json: &str) -> Result<(Server, f64), String> {
+    let started = Instant::now();
+    let advisor = MultiAdvisor::from_json(pack_json).map_err(|e| e.to_string())?;
+    let server = Server::start(advisor, server_options())?;
+    Ok((server, started.elapsed().as_secs_f64()))
+}
+
+/// Starts and stops `reps` servers, pushing each set-up time to `out`.
+fn time_setups(pack_json: &str, reps: usize, out: &mut Vec<f64>) -> Result<(), String> {
+    for _ in 0..reps {
+        let (server, seconds) = start_server(pack_json)?;
+        out.push(seconds);
         server.shutdown();
         server.join();
     }
+    Ok(())
 }
 
 /// Runs `body` against `rounds` freshly started servers in turn, always draining
-/// and joining each, and spreads the set-up repetitions over the rounds.
-/// Checks the servers' totals against the registry's `serve.requests.served`
-/// counter, and reports `setup_s` and the shed ratio.
+/// and joining each.  Checks the servers' totals against the registry's
+/// `serve.requests.served` counter, reports the shed ratio, and returns the
+/// servers' set-up times.
 fn with_servers(
     prep: &Prepared,
     run: &mut Run,
     rounds: usize,
     mut body: impl FnMut(SocketAddr, &mut Run) -> Result<(), String>,
-) -> Result<(), String> {
+) -> Result<Vec<f64>, String> {
     let served = tcp_obs::counter("serve.requests.served");
     let served_before = served.get();
     let mut setup = Vec::new();
     let mut total = [0u64; 4];
     for _ in 0..rounds {
-        let (server, times) = start_server(&prep.pack_json, SETUP_REPS.div_ceil(rounds))?;
-        setup.extend(times);
+        let (server, seconds) = start_server(&prep.pack_json)?;
+        setup.push(seconds);
         let outcome = body(server.local_addr(), run);
         server.shutdown();
         let report: ServerReport = server.join();
@@ -188,8 +235,7 @@ fn with_servers(
     run.info("requests_served", requests);
     run.info("overload_responses", overloads);
     run.info("refused_connections", refused);
-    run.metrics.insert("setup_s", median(&setup).unwrap_or(0.0));
-    Ok(())
+    Ok(setup)
 }
 
 fn check_digest(run: &mut Run, seed: u64, what: &str, complete: bool, got: u64, pinned: u64) {
@@ -222,6 +268,8 @@ pub fn spans_path(workload: &str) -> std::path::PathBuf {
 pub fn stream_mixed(seed: u64, seconds: f64, trace: bool) -> Result<Run, String> {
     let prep = prepare_stream(seed)?;
     let mut run = Run::default();
+    let cpu = pin_to_one_cpu()?;
+    run.info("pinned_cpu", cpu);
     if trace {
         traced(
             &prep,
@@ -238,19 +286,26 @@ pub fn stream_mixed(seed: u64, seconds: f64, trace: bool) -> Result<Run, String>
     // One block of samples at a time, so the client's own memory stays small
     // and does not grow with the server's speed.
     let mut samples = Vec::with_capacity(1 << 16);
-    let (mut p50s, mut p99s, mut rates) = (Vec::new(), Vec::new(), Vec::new());
+    let (mut slices, mut p99s, mut rates) = (Vec::new(), Vec::new(), Vec::new());
+    let mut setup = Vec::new();
     let mut count = 0usize;
     let block = Duration::from_secs_f64(seconds / 2.0 / f64::from(BLOCKS));
-    with_servers(&prep, &mut run, ROUNDS, |addr, run| {
+    let starts = with_servers(&prep, &mut run, ROUNDS, |addr, run| {
         let mut conn = Conn::connect(addr).map_err(|e| format!("connect: {e}"))?;
         let tally = &mut run.tally;
         corpus.closed_loop(&mut conn, WARMUP, &mut rec, &mut samples, tally);
         for _ in 0..BLOCKS as usize / ROUNDS {
             samples.clear();
-            corpus.closed_loop(&mut conn, block, &mut rec, &mut samples, tally);
+            let until = Instant::now() + block;
+            while Instant::now() < until {
+                let from = samples.len();
+                corpus.closed_loop(&mut conn, SLICE, &mut rec, &mut samples, tally);
+                slices.push(p(&samples[from..], 0.5));
+            }
             count += samples.len();
-            p50s.push(p(&samples, 0.5));
             p99s.push(p(&samples, 0.99));
+            // Set-up is timed all through the run, like the round trips.
+            time_setups(&prep.pack_json, SETUP_REPS, &mut setup)?;
         }
         corpus.pipelined(&mut conn, WINDOW, WARMUP, tally);
         for _ in 0..BLOCKS as usize / ROUNDS {
@@ -258,15 +313,20 @@ pub fn stream_mixed(seed: u64, seconds: f64, trace: bool) -> Result<Run, String>
         }
         Ok(())
     })?;
+    setup.extend(starts);
     let (done, digest) = (corpus.first_pass_done(), corpus.digest.value());
     check_digest(&mut run, seed, "stream", done, digest, STREAM_DIGEST);
     run.info("pipelined_qps", median(&rates).unwrap_or(0.0));
     run.info("rtt_samples", count);
+    run.info("rtt_slices", slices.len());
+    run.info("rtt_p50_us", median(&slices).unwrap_or(0.0) / 1e3);
     run.info("rtt_p99_us", median(&p99s).unwrap_or(0.0) / 1e3);
     let per_block = count / p99s.len().max(1);
     run.info("rtt_p99_supported", tail_supported(0.99, per_block));
+    run.info("setup_reps", setup.len());
+    run.metrics.insert("setup_s", p(&setup, CONTENDED));
     run.metrics
-        .insert("latency_p50_us", median(&p50s).unwrap_or(0.0) / 1e3);
+        .insert("latency_p50_us", p(&slices, CONTENDED) / 1e3);
     run.metrics.insert("peak_rss_mb", peak_rss_mb());
     Ok(run)
 }
