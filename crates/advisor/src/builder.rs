@@ -245,7 +245,10 @@ impl PackBuilder {
             model_mode: "calibrated".to_string(),
             regimes: vec![regime],
         };
-        let pooled = wrap("pooled", outcomes.next().expect("pooled task")?);
+        let pooled = outcomes.next().ok_or_else(|| {
+            AdvisorError::Pack("the pooled pack's build task is missing".to_string())
+        })??;
+        let pooled = wrap("pooled", pooled);
         let mut entries = Vec::with_capacity(cells.len());
         for (cell, outcome) in cells.iter().zip(outcomes) {
             entries.push(CellPackEntry {
@@ -326,16 +329,23 @@ impl PackBuilder {
         let curves = model.tabulate(&ages);
         let family = model.family().to_string();
 
+        // The card ranks the first checkpoint cost's DP policy, whose tables the cell
+        // build has already solved: reusing it makes one DP solve per regime.
         let mut checkpoint_cells = Vec::with_capacity(checkpoint_costs.len());
+        let mut card_policy = None;
         for &cost_minutes in checkpoint_costs {
-            checkpoint_cells.push(self.build_checkpoint_cell(
-                model,
-                cost_minutes,
-                dp_step_minutes,
-            )?);
+            let (cell, policy) =
+                self.build_checkpoint_cell(model, cost_minutes, dp_step_minutes)?;
+            checkpoint_cells.push(cell);
+            card_policy.get_or_insert(policy);
         }
+        let card_policy = card_policy.ok_or_else(|| {
+            AdvisorError::Pack(format!(
+                "regime `{name}`: at least one checkpoint cost is required"
+            ))
+        })?;
 
-        let policy_card = self.build_policy_card(model, &checkpoint_cells[0])?;
+        let policy_card = self.build_policy_card(name, model, &card_policy)?;
 
         Ok(RegimePack {
             name: name.to_string(),
@@ -366,12 +376,14 @@ impl PackBuilder {
         }
     }
 
+    /// Tabulates one checkpoint-cost cell, returning it with the DP policy that
+    /// produced it (its solved tables cached for reuse).
     fn build_checkpoint_cell(
         &self,
         model: &Arc<dyn LifetimeModel>,
         cost_minutes: f64,
         dp_step_minutes: f64,
-    ) -> Result<CheckpointCell> {
+    ) -> Result<(CheckpointCell, DpCheckpointPolicy)> {
         let config = Self::checkpoint_config(cost_minutes, dp_step_minutes);
         let policy = DpCheckpointPolicy::from_model(model.clone(), config)?;
         let horizon = model.horizon();
@@ -387,7 +399,9 @@ impl PackBuilder {
 
         // Solve the DP once for the largest job; every smaller job and later age reads
         // the same cached tables.
-        let largest = *job_lens.last().expect("non-empty job grid");
+        let largest = *job_lens
+            .last()
+            .ok_or_else(|| AdvisorError::Pack("the checkpoint job grid is empty".to_string()))?;
         policy.expected_makespan(largest, 0.0)?;
 
         let mut expected = Vec::with_capacity(ages.len() * job_lens.len());
@@ -405,7 +419,7 @@ impl PackBuilder {
                 expected_makespan_hours: sched.expected_makespan,
             });
         }
-        Ok(CheckpointCell {
+        let cell = CheckpointCell {
             checkpoint_cost_minutes: cost_minutes,
             dp_step_minutes,
             restart_overhead_minutes: config.restart_overhead_hours * 60.0,
@@ -413,16 +427,20 @@ impl PackBuilder {
             job_lens,
             expected_makespan: expected,
             schedules,
-        })
+        };
+        Ok((cell, policy))
     }
 
     /// Precomputes the best-policy ranking: scheduling policies by average job-failure
     /// probability over uniformly distributed start ages (the Figure 6 metric), and
     /// checkpointing policies by expected makespan of the reference job on a fresh VM.
+    /// `dp` is the regime's model-driven checkpoint policy; a reference job no longer
+    /// than its cached solve reads the cached tables.
     fn build_policy_card(
         &self,
+        regime: &str,
         model: &Arc<dyn LifetimeModel>,
-        cell: &CheckpointCell,
+        dp: &DpCheckpointPolicy,
     ) -> Result<PolicyCard> {
         let job = self.reference_job_len;
         let model_driven = ModelDrivenScheduler::from_model(model.clone());
@@ -438,11 +456,9 @@ impl PackBuilder {
             },
         ];
 
-        let config = Self::checkpoint_config(cell.checkpoint_cost_minutes, cell.dp_step_minutes);
-        let dp = DpCheckpointPolicy::from_model(model.clone(), config)?;
         let young_daly = YoungDalyPolicy::from_initial_failure_rate(
             model.as_ref(),
-            config.checkpoint_cost_hours,
+            dp.config().checkpoint_cost_hours,
         )?;
         let mut checkpointing = vec![
             PolicyScore {
@@ -461,16 +477,8 @@ impl PackBuilder {
             },
         ];
 
-        let sort = |scores: &mut Vec<PolicyScore>| {
-            scores.sort_by(|a, b| {
-                a.score
-                    .partial_cmp(&b.score)
-                    .expect("scores are finite")
-                    .then_with(|| a.name.cmp(&b.name))
-            });
-        };
-        sort(&mut scheduling);
-        sort(&mut checkpointing);
+        rank_scores(regime, "scheduling", &mut scheduling)?;
+        rank_scores(regime, "checkpointing", &mut checkpointing)?;
         Ok(PolicyCard {
             reference_job_len_hours: job,
             recommended_scheduling: scheduling[0].name.clone(),
@@ -479,6 +487,24 @@ impl PackBuilder {
             checkpointing,
         })
     }
+}
+
+/// Sorts a policy card's scores best (lowest) first, ties broken by name.  A NaN
+/// score has no rank; it is reported with the regime and policy that produced it.
+fn rank_scores(regime: &str, kind: &str, scores: &mut [PolicyScore]) -> Result<()> {
+    if let Some(bad) = scores.iter().find(|s| s.score.is_nan()) {
+        return Err(AdvisorError::Pack(format!(
+            "regime `{regime}`: {kind} policy `{}` scored NaN",
+            bad.name
+        )));
+    }
+    scores.sort_by(|a, b| {
+        a.score
+            .partial_cmp(&b.score)
+            .unwrap_or(std::cmp::Ordering::Equal)
+            .then_with(|| a.name.cmp(&b.name))
+    });
+    Ok(())
 }
 
 #[cfg(test)]
@@ -717,6 +743,124 @@ dp_step_minutes = 15.0
         let pooled = &multi.pooled.regimes[0];
         assert_eq!(pooled.served_family, "mixture");
         assert_eq!(pooled.dp_family, "mixture");
+    }
+
+    /// Builds one regime's tables from `model` and checks the card's model-driven
+    /// checkpointing score against a freshly solved policy, bit for bit.
+    fn assert_card_matches_a_fresh_solve(
+        builder: &PackBuilder,
+        model: Arc<dyn LifetimeModel>,
+        costs: &[f64],
+        dp_step_minutes: f64,
+    ) {
+        let regime = builder
+            .build_regime_tables(
+                "card",
+                &model,
+                None,
+                PricingModel::gcp_n1_highcpu(),
+                builder.vm_type,
+                costs,
+                dp_step_minutes,
+            )
+            .unwrap();
+        let card = regime
+            .policy_card
+            .checkpointing
+            .iter()
+            .find(|s| s.name == "model-driven")
+            .unwrap()
+            .score;
+        let fresh = DpCheckpointPolicy::from_model(
+            model.clone(),
+            PackBuilder::checkpoint_config(costs[0], dp_step_minutes),
+        )
+        .unwrap()
+        .expected_makespan(builder.reference_job_len, 0.0)
+        .unwrap();
+        assert_eq!(
+            card.to_bits(),
+            fresh.to_bits(),
+            "{}: card {card} vs fresh {fresh}",
+            model.family()
+        );
+    }
+
+    fn card_models() -> Vec<Arc<dyn LifetimeModel>> {
+        let exponential = tcp_dists::Exponential::new(1.0 / 8.0).unwrap();
+        vec![
+            Arc::new(tcp_core::BathtubModel::paper_representative()),
+            Arc::new(
+                TabulatedLifetime::from_distribution("exponential", &exponential, 24.0, 241)
+                    .unwrap(),
+            ),
+        ]
+    }
+
+    #[test]
+    fn policy_card_reuses_the_solved_dp_at_the_default_grid() {
+        let builder = PackBuilder::default();
+        assert!(builder.reference_job_len <= builder.max_checkpoint_job_hours);
+        for model in card_models() {
+            assert_card_matches_a_fresh_solve(&builder, model, &[1.0], 10.0);
+        }
+    }
+
+    #[test]
+    fn policy_card_re_solves_for_a_reference_job_past_the_grid() {
+        let builder = PackBuilder {
+            max_checkpoint_job_hours: 4.0,
+            ..tiny_builder()
+        };
+        assert!(builder.reference_job_len > builder.max_checkpoint_job_hours);
+        for model in card_models() {
+            assert_card_matches_a_fresh_solve(&builder, model, &[1.0], 15.0);
+        }
+    }
+
+    #[test]
+    fn policy_card_ranks_the_first_checkpoint_cost() {
+        for model in card_models() {
+            assert_card_matches_a_fresh_solve(&tiny_builder(), model, &[5.0, 1.0, 2.0], 15.0);
+        }
+    }
+
+    #[test]
+    fn a_nan_policy_score_is_a_typed_error_naming_regime_and_policy() {
+        let mut scores = vec![
+            PolicyScore {
+                name: "young-daly".to_string(),
+                score: 7.5,
+            },
+            PolicyScore {
+                name: "model-driven".to_string(),
+                score: f64::NAN,
+            },
+        ];
+        let err = rank_scores("gcp-day", "checkpointing", &mut scores).unwrap_err();
+        let AdvisorError::Pack(message) = err else {
+            panic!("expected a pack error, got {err:?}");
+        };
+        assert!(message.contains("gcp-day"), "{message}");
+        assert!(message.contains("model-driven"), "{message}");
+        // Finite scores rank lowest first, ties broken by name.
+        let mut scores = vec![
+            PolicyScore {
+                name: "none".to_string(),
+                score: 7.0,
+            },
+            PolicyScore {
+                name: "young-daly".to_string(),
+                score: 6.5,
+            },
+            PolicyScore {
+                name: "model-driven".to_string(),
+                score: 6.5,
+            },
+        ];
+        rank_scores("gcp-day", "checkpointing", &mut scores).unwrap();
+        let order: Vec<&str> = scores.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(order, ["model-driven", "young-daly", "none"]);
     }
 
     #[test]

@@ -18,6 +18,14 @@
 //! the same remaining work) is resolved by a fixed-point iteration per `j`; the map is a
 //! contraction because the failure probability of the chosen action is strictly below one.
 //!
+//! The window terms — `p_succ(t, w)`, `E[lost | fail]` and the age bin of `t + w` — depend
+//! on the age bin and the window length `i`, never on the remaining work `j`.  A solve
+//! therefore evaluates them once, into a `bins × J` window table, before the recursion
+//! starts; the recursion itself (every `j`, every fixed-point iteration) is array
+//! arithmetic over that table.  That makes the model calls O(bins × J) instead of
+//! O(bins × J²), with the same operations in the same order, so the value and argmin
+//! tables are bit-identical to evaluating the window terms inline.
+//!
 //! The DP is **generic in the hazard**: it consumes any [`LifetimeModel`] — the
 //! closed-form bathtub fit (the fast path, via [`DpCheckpointPolicy::new`]), or any
 //! other family materialised as quadrature tables
@@ -29,7 +37,7 @@
 //! bit for bit.
 
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use tcp_core::{BathtubModel, LifetimeModel};
 use tcp_numerics::{NumericsError, Result};
 
@@ -119,19 +127,49 @@ pub struct DpCheckpointPolicy {
     /// for `j` steps contain every smaller job as a sub-problem, so the largest solve is
     /// reused for all subsequent (re-)planning calls — which the Monte-Carlo evaluator and
     /// the batch service issue constantly.
-    cache: std::sync::Mutex<Option<SolvedTables>>,
+    cache: Mutex<Option<SolvedTables>>,
 }
 
 /// DP value table `V[j][age-index]`, shared between clones of the policy.
-type ValueTable = std::sync::Arc<Vec<Vec<f64>>>;
+type ValueTable = Arc<Vec<Vec<f64>>>;
 /// DP argmin table (steps to run before the next checkpoint), aligned with [`ValueTable`].
-type ChoiceTable = std::sync::Arc<Vec<Vec<usize>>>;
+type ChoiceTable = Arc<Vec<Vec<u32>>>;
 
 #[derive(Debug, Clone)]
 struct SolvedTables {
     job_steps: usize,
     value: ValueTable,
     choice: ChoiceTable,
+}
+
+/// The window terms of one solve, row-major by age bin: entry `bin · steps + (i − 1)`
+/// belongs to the window of `i` work steps plus one checkpoint, opened at the bin's age.
+struct WindowTable {
+    steps: usize,
+    /// Conditional probability that the window completes without a preemption.
+    p_succ: Vec<f64>,
+    /// Expected hours lost when the window is preempted.
+    lost: Vec<f64>,
+    /// Age bin the VM reaches when the window completes.
+    next_bin: Vec<u32>,
+}
+
+/// One age bin's slice of a [`WindowTable`], indexed by `i − 1`.
+struct WindowRow<'a> {
+    p_succ: &'a [f64],
+    lost: &'a [f64],
+    next_bin: &'a [u32],
+}
+
+impl WindowTable {
+    fn row(&self, bin: usize) -> WindowRow<'_> {
+        let span = bin * self.steps..(bin + 1) * self.steps;
+        WindowRow {
+            p_succ: &self.p_succ[span.clone()],
+            lost: &self.lost[span.clone()],
+            next_bin: &self.next_bin[span],
+        }
+    }
 }
 
 impl Clone for DpCheckpointPolicy {
@@ -141,7 +179,7 @@ impl Clone for DpCheckpointPolicy {
             config: self.config,
             age_step: self.age_step,
             age_bins: self.age_bins,
-            cache: std::sync::Mutex::new(self.cache.lock().expect("cache lock").clone()),
+            cache: Mutex::new(self.lock_cache().clone()),
         }
     }
 }
@@ -182,7 +220,7 @@ impl DpCheckpointPolicy {
             config,
             age_step,
             age_bins,
-            cache: std::sync::Mutex::new(None),
+            cache: Mutex::new(None),
         })
     }
 
@@ -247,23 +285,48 @@ impl DpCheckpointPolicy {
         (first_moment / mass).clamp(0.0, w)
     }
 
-    /// Computes the full DP tables for a job of `job_steps` steps.  Returns
-    /// `(value, choice)` tables indexed `[j][age_bin]`.
-    fn solve(&self, job_steps: usize) -> (Vec<Vec<f64>>, Vec<Vec<usize>>) {
+    /// Evaluates the window terms of every `(age bin, i)` pair with `1 ≤ i ≤ job_steps`.
+    fn window_table(&self, job_steps: usize) -> WindowTable {
         let delta = self.config.checkpoint_cost_hours;
         let step = self.config.step_hours;
-        let restart = self.config.restart_overhead_hours;
+        let len = self.age_bins * job_steps;
+        let mut table = WindowTable {
+            steps: job_steps,
+            p_succ: Vec::with_capacity(len),
+            lost: Vec::with_capacity(len),
+            next_bin: Vec::with_capacity(len),
+        };
+        for bin in 0..self.age_bins {
+            let t = self.age_of_bin(bin);
+            for i in 1..=job_steps {
+                let work = i as f64 * step;
+                let w = work + delta;
+                table.p_succ.push(self.window_survival(t, w));
+                table.lost.push(self.expected_lost_given_failure(t, w));
+                // Bins are capped at ~2000 (see `from_model`), so they fit a `u32`.
+                table.next_bin.push(self.bin_of_age(t + w) as u32);
+            }
+        }
+        table
+    }
+
+    /// Computes the full DP tables for a job of `job_steps` steps.  Returns
+    /// `(value, choice)` tables indexed `[j][age_bin]`.
+    fn solve(&self, job_steps: usize) -> (Vec<Vec<f64>>, Vec<Vec<u32>>) {
+        let delta = self.config.checkpoint_cost_hours;
+        let step = self.config.step_hours;
         let bins = self.age_bins;
+        let windows = self.window_table(job_steps);
 
         let mut value = vec![vec![0.0f64; bins]; job_steps + 1];
-        let mut choice = vec![vec![1usize; bins]; job_steps + 1];
+        let mut choice = vec![vec![1u32; bins]; job_steps + 1];
 
         for j in 1..=job_steps {
             // Fixed-point for v0 = V(j, 0): the failure branch of every state returns to a
-            // fresh VM with the same remaining work.
+            // fresh VM with the same remaining work.  Age bin 0 is age 0.
             let mut v0 = j as f64 * step + delta; // optimistic seed
             for _ in 0..60 {
-                let (new_v0, _) = self.best_action(j, 0.0, v0, &value);
+                let (new_v0, _) = self.best_action(j, windows.row(0), v0, &value);
                 if (new_v0 - v0).abs() < 1e-9 {
                     v0 = new_v0;
                     break;
@@ -272,19 +335,17 @@ impl DpCheckpointPolicy {
             }
             // Fill the row with v0 fixed.
             for bin in 0..bins {
-                let t = self.age_of_bin(bin);
-                let (v, best_i) = self.best_action(j, t, v0, &value);
+                let (v, best_i) = self.best_action(j, windows.row(bin), v0, &value);
                 value[j][bin] = v;
                 choice[j][bin] = best_i;
             }
-            let _ = restart; // restart is consumed inside best_action
         }
         (value, choice)
     }
 
-    /// Evaluates `min_i Q(j, t, i)` given the lower rows of the value table and the current
-    /// estimate of `V(j, 0)`.
-    fn best_action(&self, j: usize, t: f64, v0: f64, value: &[Vec<f64>]) -> (f64, usize) {
+    /// Evaluates `min_i Q(j, t, i)` given the window terms of age `t`, the lower rows of
+    /// the value table and the current estimate of `V(j, 0)`.
+    fn best_action(&self, j: usize, row: WindowRow<'_>, v0: f64, value: &[Vec<f64>]) -> (f64, u32) {
         let delta = self.config.checkpoint_cost_hours;
         let step = self.config.step_hours;
         let restart = self.config.restart_overhead_hours;
@@ -294,14 +355,13 @@ impl DpCheckpointPolicy {
         for i in 1..=j {
             let work = i as f64 * step;
             let w = work + delta;
-            let p_succ = self.window_survival(t, w);
+            let p_succ = row.p_succ[i - 1];
             let p_fail = 1.0 - p_succ;
-            let lost = self.expected_lost_given_failure(t, w);
-            let next_age = t + w;
+            let lost = row.lost[i - 1];
             let cont = if j - i == 0 {
                 0.0
             } else {
-                value[j - i][self.bin_of_age(next_age)]
+                value[j - i][row.next_bin[i - 1] as usize]
             };
             let q = p_succ * (w + cont) + p_fail * (lost + restart + v0);
             if q < best {
@@ -309,12 +369,19 @@ impl DpCheckpointPolicy {
                 best_i = i;
             }
         }
-        (best, best_i)
+        // `schedule` rejects jobs whose step count does not fit a `u32`.
+        (best, best_i as u32)
+    }
+
+    /// The solved-table cache.  A panic while another thread held the lock leaves the
+    /// cache either empty or holding complete tables, so a poisoned lock is still usable.
+    fn lock_cache(&self) -> std::sync::MutexGuard<'_, Option<SolvedTables>> {
+        self.cache.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Returns cached DP tables covering at least `job_steps` steps, solving if necessary.
     fn solved(&self, job_steps: usize) -> (ValueTable, ChoiceTable) {
-        let mut guard = self.cache.lock().expect("cache lock");
+        let mut guard = self.lock_cache();
         if let Some(tables) = guard.as_ref() {
             if tables.job_steps >= job_steps {
                 return (tables.value.clone(), tables.choice.clone());
@@ -323,8 +390,8 @@ impl DpCheckpointPolicy {
         let (value, choice) = self.solve(job_steps);
         let tables = SolvedTables {
             job_steps,
-            value: std::sync::Arc::new(value),
-            choice: std::sync::Arc::new(choice),
+            value: Arc::new(value),
+            choice: Arc::new(choice),
         };
         let out = (tables.value.clone(), tables.choice.clone());
         *guard = Some(tables);
@@ -344,6 +411,12 @@ impl DpCheckpointPolicy {
         }
         let step = self.config.step_hours;
         let job_steps = (job_len / step).round().max(1.0) as usize;
+        if u32::try_from(job_steps).is_err() {
+            return Err(NumericsError::invalid(format!(
+                "job length {job_len} spans more than {} DP steps",
+                u32::MAX
+            )));
+        }
         let (value, choice) = self.solved(job_steps);
 
         // Extract the success-path schedule.
@@ -352,7 +425,7 @@ impl DpCheckpointPolicy {
         let mut age = start_age;
         while j > 0 {
             let bin = self.bin_of_age(age);
-            let i = choice[j][bin].clamp(1, j);
+            let i = (choice[j][bin] as usize).clamp(1, j);
             intervals.push(i as f64 * step);
             age = (age + i as f64 * step + self.config.checkpoint_cost_hours)
                 .min(self.model.horizon());
@@ -380,6 +453,216 @@ mod tests {
 
     fn policy(config: CheckpointConfig) -> DpCheckpointPolicy {
         DpCheckpointPolicy::new(BathtubModel::paper_representative(), config).unwrap()
+    }
+
+    /// The closed-form bathtub plus every tabulated family the packs drive the DP with.
+    fn family_models() -> Vec<Arc<dyn LifetimeModel>> {
+        let horizon = 24.0;
+        let tabulate = |family: &str, dist: &dyn tcp_dists::LifetimeDistribution| {
+            Arc::new(
+                tcp_core::TabulatedLifetime::from_distribution(family, dist, horizon, 241).unwrap(),
+            ) as Arc<dyn LifetimeModel>
+        };
+        let empirical = tcp_dists::EmpiricalLifetime::new(
+            &[0.4, 1.1, 2.0, 3.5, 5.0, 7.5, 11.0, 16.0, 21.0, 24.0],
+            Some(horizon),
+        )
+        .unwrap();
+        vec![
+            Arc::new(BathtubModel::paper_representative()),
+            tabulate(
+                "exponential",
+                &tcp_dists::Exponential::new(1.0 / 8.0).unwrap(),
+            ),
+            tabulate("weibull", &tcp_dists::Weibull::new(0.12, 1.4).unwrap()),
+            tabulate("phased", &tcp_dists::PhasedHazard::representative()),
+            tabulate("empirical", &empirical),
+        ]
+    }
+
+    /// The record-weighted winner mixture, as the pooled pack builds it.
+    fn mixture_model() -> Arc<dyn LifetimeModel> {
+        let components: Vec<(f64, Arc<dyn tcp_dists::LifetimeDistribution>)> = vec![
+            (
+                0.3,
+                Arc::new(tcp_dists::Exponential::new(1.0 / 8.0).unwrap()),
+            ),
+            (0.7, Arc::new(tcp_dists::PhasedHazard::representative())),
+        ];
+        Arc::new(tcp_core::TabulatedLifetime::from_mixture(&components, 24.0, 241).unwrap())
+    }
+
+    /// The recursion with every window term evaluated inline, once per `(j, bin, i)`
+    /// and again on every fixed-point iteration — the reference the window table must
+    /// reproduce bit for bit.
+    fn reference_solve(p: &DpCheckpointPolicy, job_steps: usize) -> (Vec<Vec<f64>>, Vec<Vec<u32>>) {
+        let delta = p.config.checkpoint_cost_hours;
+        let step = p.config.step_hours;
+        let bins = p.age_bins;
+        let mut value = vec![vec![0.0f64; bins]; job_steps + 1];
+        let mut choice = vec![vec![1u32; bins]; job_steps + 1];
+        for j in 1..=job_steps {
+            let mut v0 = j as f64 * step + delta;
+            for _ in 0..60 {
+                let (new_v0, _) = reference_best_action(p, j, 0.0, v0, &value);
+                if (new_v0 - v0).abs() < 1e-9 {
+                    v0 = new_v0;
+                    break;
+                }
+                v0 = new_v0;
+            }
+            for bin in 0..bins {
+                let t = p.age_of_bin(bin);
+                let (v, best_i) = reference_best_action(p, j, t, v0, &value);
+                value[j][bin] = v;
+                choice[j][bin] = best_i as u32;
+            }
+        }
+        (value, choice)
+    }
+
+    fn reference_best_action(
+        p: &DpCheckpointPolicy,
+        j: usize,
+        t: f64,
+        v0: f64,
+        value: &[Vec<f64>],
+    ) -> (f64, usize) {
+        let delta = p.config.checkpoint_cost_hours;
+        let step = p.config.step_hours;
+        let restart = p.config.restart_overhead_hours;
+        let mut best = f64::INFINITY;
+        let mut best_i = 1;
+        for i in 1..=j {
+            let work = i as f64 * step;
+            let w = work + delta;
+            let p_succ = p.window_survival(t, w);
+            let p_fail = 1.0 - p_succ;
+            let lost = p.expected_lost_given_failure(t, w);
+            let next_age = t + w;
+            let cont = if j - i == 0 {
+                0.0
+            } else {
+                value[j - i][p.bin_of_age(next_age)]
+            };
+            let q = p_succ * (w + cont) + p_fail * (lost + restart + v0);
+            if q < best {
+                best = q;
+                best_i = i;
+            }
+        }
+        (best, best_i)
+    }
+
+    /// Asserts two `(value, choice)` table pairs are equal bit for bit.
+    fn assert_tables_identical(
+        label: &str,
+        (value, choice): (&[Vec<f64>], &[Vec<u32>]),
+        (ref_value, ref_choice): (&[Vec<f64>], &[Vec<u32>]),
+    ) {
+        assert_eq!(value.len(), ref_value.len(), "{label}: row count");
+        for (j, (row, ref_row)) in value.iter().zip(ref_value).enumerate() {
+            let bits: Vec<u64> = row.iter().map(|v| v.to_bits()).collect();
+            let ref_bits: Vec<u64> = ref_row.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(bits, ref_bits, "{label}: value row {j}");
+        }
+        assert_eq!(choice, ref_choice, "{label}: choice table");
+    }
+
+    /// Solves `job_hours` with the window table and with the inline reference.
+    fn assert_matches_reference(label: &str, p: &DpCheckpointPolicy, job_hours: f64) {
+        let steps = (job_hours / p.config.step_hours).round() as usize;
+        let fast = p.solve(steps);
+        let reference = reference_solve(p, steps);
+        assert_tables_identical(label, (&fast.0, &fast.1), (&reference.0, &reference.1));
+    }
+
+    #[test]
+    fn window_table_solve_matches_the_inline_recursion_for_every_family() {
+        let mut models = family_models();
+        models.push(mixture_model());
+        for model in models {
+            let family = model.family().to_string();
+            let p = DpCheckpointPolicy::from_model(model, CheckpointConfig::coarse()).unwrap();
+            assert_matches_reference(&format!("{family} coarse"), &p, 4.0);
+        }
+    }
+
+    #[test]
+    fn window_table_solve_matches_the_inline_recursion_at_paper_defaults() {
+        let models = [
+            Arc::new(BathtubModel::paper_representative()) as Arc<dyn LifetimeModel>,
+            mixture_model(),
+        ];
+        for model in models {
+            let family = model.family().to_string();
+            let p =
+                DpCheckpointPolicy::from_model(model, CheckpointConfig::paper_defaults()).unwrap();
+            assert_matches_reference(&format!("{family} paper defaults"), &p, 3.0);
+        }
+    }
+
+    #[test]
+    fn window_table_solve_matches_the_inline_recursion_at_both_age_step_clamps() {
+        let mut config = CheckpointConfig::coarse();
+        // 0.36 minutes: half a step is below horizon/2000, so the age step clamps up.
+        config.step_hours = 0.006;
+        let tiny = policy(config);
+        assert_eq!(tiny.age_step, 24.0 / 2000.0);
+        assert_matches_reference("tiny step", &tiny, 0.12);
+        // 45 minutes: half a step is above 0.25 h, so the age step clamps down.
+        config.step_hours = 0.75;
+        let wide = policy(config);
+        assert_eq!(wide.age_step, 0.25);
+        assert_matches_reference("wide step", &wide, 8.25);
+    }
+
+    #[test]
+    fn growing_the_cache_gives_the_tables_of_a_direct_solve() {
+        let config = CheckpointConfig::coarse();
+        let steps = (8.0 / config.step_hours).round() as usize;
+        let grown = policy(config);
+        grown.expected_makespan(4.0, 0.0).unwrap();
+        let (value, choice) = grown.solved(steps);
+        let direct = policy(config);
+        let (direct_value, direct_choice) = direct.solved(steps);
+        assert_tables_identical(
+            "4 h then 8 h",
+            (&value, &choice),
+            (&direct_value, &direct_choice),
+        );
+        let reference = reference_solve(&direct, steps);
+        assert_tables_identical(
+            "8 h vs reference",
+            (&value, &choice),
+            (&reference.0, &reference.1),
+        );
+        // The shorter job reads a prefix of the larger tables: same answer either way.
+        assert_eq!(
+            grown.expected_makespan(4.0, 3.0).unwrap().to_bits(),
+            policy(config)
+                .expected_makespan(4.0, 3.0)
+                .unwrap()
+                .to_bits()
+        );
+    }
+
+    #[test]
+    fn a_poisoned_cache_lock_still_serves_the_tables() {
+        let p = Arc::new(policy(CheckpointConfig::coarse()));
+        let expected = p.expected_makespan(2.0, 0.0).unwrap();
+        let holder = p.clone();
+        let _ = std::thread::spawn(move || {
+            let _guard = holder.cache.lock().unwrap();
+            panic!("poison the cache lock");
+        })
+        .join();
+        assert!(p.cache.is_poisoned());
+        assert_eq!(p.expected_makespan(2.0, 0.0).unwrap(), expected);
+        assert_eq!(
+            p.clone().expected_makespan(3.0, 0.0).unwrap(),
+            p.expected_makespan(3.0, 0.0).unwrap()
+        );
     }
 
     #[test]
@@ -529,51 +812,7 @@ mod tests {
     #[test]
     fn value_function_monotone_in_checkpoint_cost_for_every_family() {
         // A more expensive checkpoint can never make the optimal plan cheaper.
-        let horizon = 24.0;
-        let models: Vec<Arc<dyn tcp_core::LifetimeModel>> = vec![
-            Arc::new(BathtubModel::paper_representative()),
-            Arc::new(
-                tcp_core::TabulatedLifetime::from_distribution(
-                    "exponential",
-                    &tcp_dists::Exponential::new(1.0 / 8.0).unwrap(),
-                    horizon,
-                    241,
-                )
-                .unwrap(),
-            ),
-            Arc::new(
-                tcp_core::TabulatedLifetime::from_distribution(
-                    "weibull",
-                    &tcp_dists::Weibull::new(0.12, 1.4).unwrap(),
-                    horizon,
-                    241,
-                )
-                .unwrap(),
-            ),
-            Arc::new(
-                tcp_core::TabulatedLifetime::from_distribution(
-                    "phased",
-                    &tcp_dists::PhasedHazard::representative(),
-                    horizon,
-                    241,
-                )
-                .unwrap(),
-            ),
-            Arc::new(
-                tcp_core::TabulatedLifetime::from_distribution(
-                    "empirical",
-                    &tcp_dists::EmpiricalLifetime::new(
-                        &[0.4, 1.1, 2.0, 3.5, 5.0, 7.5, 11.0, 16.0, 21.0, 24.0],
-                        Some(horizon),
-                    )
-                    .unwrap(),
-                    horizon,
-                    241,
-                )
-                .unwrap(),
-            ),
-        ];
-        for model in models {
+        for model in family_models() {
             let family = model.family().to_string();
             let mut prev = 0.0f64;
             for &cost_minutes in &[0.5, 2.0, 8.0] {
