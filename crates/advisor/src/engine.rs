@@ -37,6 +37,15 @@ pub enum RequestKind {
     BestPolicy,
 }
 
+/// The advisor's per-kind latency histograms in the metric registry, in
+/// request-kind order; `serve-bench` and `advise top` merge all four.
+pub const LATENCY_HISTOGRAMS: [&str; 4] = [
+    "advisor.latency.should_reuse",
+    "advisor.latency.checkpoint_plan",
+    "advisor.latency.expected_cost_makespan",
+    "advisor.latency.best_policy",
+];
+
 impl RequestKind {
     fn index(self) -> usize {
         match self {
@@ -373,7 +382,7 @@ impl AdvisorCounters {
 /// Field order is alphabetical on purpose: derived serialization emits fields in
 /// declaration order, and the `!stats` wire contract promises deterministically
 /// sorted JSON keys.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct AdvisorStats {
     /// `best-policy` queries answered.
     pub best_policy: u64,
@@ -389,6 +398,14 @@ impl AdvisorStats {
     /// Total queries answered.
     pub fn total(&self) -> u64 {
         self.should_reuse + self.checkpoint_plan + self.expected_cost_makespan + self.best_policy
+    }
+
+    /// Adds another set of counts into this one, kind by kind.
+    pub fn merge(&mut self, other: &AdvisorStats) {
+        self.best_policy += other.best_policy;
+        self.checkpoint_plan += other.checkpoint_plan;
+        self.expected_cost_makespan += other.expected_cost_makespan;
+        self.should_reuse += other.should_reuse;
     }
 }
 
@@ -454,12 +471,7 @@ impl Advisor {
             engines,
             families,
             counters: AdvisorCounters::new(),
-            latency: [
-                tcp_obs::histogram("advisor.latency.should_reuse"),
-                tcp_obs::histogram("advisor.latency.checkpoint_plan"),
-                tcp_obs::histogram("advisor.latency.expected_cost_makespan"),
-                tcp_obs::histogram("advisor.latency.best_policy"),
-            ],
+            latency: LATENCY_HISTOGRAMS.map(tcp_obs::histogram),
             trace_sites: [
                 tcp_obs::trace::site_id("advisor.lookup.should_reuse"),
                 tcp_obs::trace::site_id("advisor.lookup.checkpoint_plan"),

@@ -49,7 +49,7 @@ pub mod table;
 pub use builder::PackBuilder;
 pub use engine::{
     AdviceRequest, AdviceResponse, Advisor, AdvisorStats, Decision, FamilyStats, RequestKind,
-    VmPhase,
+    VmPhase, LATENCY_HISTOGRAMS,
 };
 pub use error::{AdvisorError, Result};
 pub use pack::{

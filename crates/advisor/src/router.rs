@@ -141,11 +141,7 @@ impl MultiAdvisor {
     pub fn stats(&self) -> AdvisorStats {
         let mut total = self.pooled.stats();
         for (_, advisor) in &self.cells {
-            let s = advisor.stats();
-            total.should_reuse += s.should_reuse;
-            total.checkpoint_plan += s.checkpoint_plan;
-            total.expected_cost_makespan += s.expected_cost_makespan;
-            total.best_policy += s.best_policy;
+            total.merge(&advisor.stats());
         }
         total
     }

@@ -23,7 +23,7 @@
 //! byte-identical output for the same line sequence because a [`Session`] only depends
 //! on the lines themselves and the packs they load.
 
-use crate::engine::{AdviceRequest, AdvisorStats, FamilyStats};
+use crate::engine::{AdviceRequest, AdvisorStats};
 use crate::pack::{ModelPack, MultiPack};
 use crate::router::{AdvisorHandle, MultiAdvisor};
 use rand::rngs::StdRng;
@@ -110,9 +110,10 @@ fn render_line<T: Serialize>(value: &T) -> String {
         .unwrap_or_else(|_| "{\"error\":\"internal: response serialization failed\"}".to_string())
 }
 
-/// Serializes one JSON string fragment for hand-assembled control lines; the
-/// empty-string fallback keeps the surrounding line well-formed JSON.
-fn render_json_str(value: &str) -> String {
+/// Serializes one JSON string fragment for hand-assembled lines (control lines
+/// here, `advise top --once` snapshots); the empty-string fallback keeps the
+/// surrounding line well-formed JSON.
+pub fn render_json_str(value: &str) -> String {
     serde_json::to_string(value).unwrap_or_else(|_| "\"\"".to_string())
 }
 
@@ -166,8 +167,12 @@ pub fn serve_ndjson(advisor: &MultiAdvisor, input: &str, threads: usize) -> Stri
 pub struct Session<'a> {
     handle: &'a AdvisorHandle,
     threads: usize,
-    /// Every advisor that answered part of this session, for reload-surviving stats.
-    used: Vec<Arc<MultiAdvisor>>,
+    /// The advisor that answered this session's latest requests.
+    serving: Option<Arc<MultiAdvisor>>,
+    /// Counts of the advisors this session served from before `serving`, taken
+    /// when each was swapped out, so stats survive a reload without pinning
+    /// retired packs.
+    retired: AdvisorStats,
     /// Request lines answered so far: the per-request trace-sampling seed.  Purely
     /// observational — responses never depend on it.
     requests_seen: u64,
@@ -179,7 +184,8 @@ impl<'a> Session<'a> {
         Session {
             handle,
             threads,
-            used: Vec::new(),
+            serving: None,
+            retired: AdvisorStats::default(),
             requests_seen: 0,
         }
     }
@@ -229,11 +235,19 @@ impl<'a> Session<'a> {
         segment.clear();
     }
 
-    /// Snapshots the current advisor, remembering it for [`Session::stats`].
+    /// Snapshots the current advisor for [`Session::stats`].  When a reload
+    /// has swapped the pack, the retired advisor's counts fold into the
+    /// running total and its `Arc` is dropped.
     fn snapshot(&mut self) -> Arc<MultiAdvisor> {
         let advisor = self.handle.current();
-        if !self.used.iter().any(|u| Arc::ptr_eq(u, &advisor)) {
-            self.used.push(advisor.clone());
+        if !self
+            .serving
+            .as_ref()
+            .is_some_and(|serving| Arc::ptr_eq(serving, &advisor))
+        {
+            if let Some(retired) = self.serving.replace(advisor.clone()) {
+                self.retired.merge(&retired.stats());
+            }
         }
         advisor
     }
@@ -397,32 +411,14 @@ impl<'a> Session<'a> {
     /// session — a `!reload` swaps the advisor (and with it the live counters), so
     /// reading only the final advisor's stats would drop everything answered before
     /// the swap.  Pack counters are shared across sessions serving the same packs,
-    /// so with concurrent sessions this includes their traffic too.
+    /// so with concurrent sessions this includes their traffic too: the live
+    /// pack's up to now, a retired pack's up to when this session moved off it.
     pub fn stats(&self) -> AdvisorStats {
-        let mut stats = AdvisorStats {
-            should_reuse: 0,
-            checkpoint_plan: 0,
-            expected_cost_makespan: 0,
-            best_policy: 0,
-        };
-        for advisor in &self.used {
-            let s = advisor.stats();
-            stats.should_reuse += s.should_reuse;
-            stats.checkpoint_plan += s.checkpoint_plan;
-            stats.expected_cost_makespan += s.expected_cost_makespan;
-            stats.best_policy += s.best_policy;
+        let mut stats = self.retired;
+        if let Some(serving) = &self.serving {
+            stats.merge(&serving.stats());
         }
         stats
-    }
-
-    /// Per-family counters aggregated across every advisor that served part of this
-    /// session (same reload-surviving semantics as [`Session::stats`]).
-    pub fn family_stats(&self) -> FamilyStats {
-        let mut families = FamilyStats::default();
-        for advisor in &self.used {
-            families.merge(&advisor.family_stats());
-        }
-        families
     }
 }
 
@@ -704,6 +700,31 @@ dp_step_minutes = 30.0
         assert_eq!(stats.total(), 3);
         // The final advisor alone only saw the post-reload query.
         assert_eq!(handle.current().stats().total(), 1);
+    }
+
+    #[test]
+    fn a_session_pins_only_the_pack_it_serves() {
+        let dir = std::env::temp_dir().join("tcp_advisor_serve_retire_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let pack_path = dir.join("pack.json");
+        std::fs::write(&pack_path, pack().to_json().unwrap()).unwrap();
+
+        let handle = AdvisorHandle::new(advisor());
+        let first = handle.current();
+        let mut session = Session::new(&handle, 1);
+        let query = r#"{"kind": "best-policy", "regime": "gcp-day"}"#;
+        let reload = format!("!reload {}", pack_path.display());
+        let mut out = String::new();
+        for _ in 0..5 {
+            session.process(&[query, &reload], &mut out);
+        }
+        session.process(&[query], &mut out);
+        // Five reloads later, nothing but this test holds the first pack ...
+        assert_eq!(Arc::strong_count(&first), 1);
+        // ... and the live one is held by the handle, the session and this test.
+        assert_eq!(Arc::strong_count(&handle.current()), 3);
+        // Every retired pack's counts survived the swap.
+        assert_eq!(session.stats().best_policy, 6);
     }
 
     #[test]

@@ -1,10 +1,12 @@
-//! Exposition formats: a one-line JSON snapshot and a Prometheus text dump.
+//! Exposition formats: a one-line JSON snapshot and a Prometheus text dump, plus
+//! the reader that turns a Prometheus dump back into a snapshot.
 //!
 //! Both formats are rendered from an owned [`RegistrySnapshot`] so the output is a
 //! consistent point-in-time view, and both iterate the snapshot's `BTreeMap`, so
 //! output ordering is deterministic (sorted by metric name).  Neither pulls in a
 //! serializer: the formats are simple enough that hand-rolled escaping keeps the
-//! crate dependency-free.
+//! crate dependency-free.  Snapshots read from a remote server's text
+//! ([`RegistrySnapshot::from_prometheus`]) use the same accessors as local ones.
 
 use crate::hist::HistogramSnapshot;
 use std::collections::BTreeMap;
@@ -62,7 +64,7 @@ pub(crate) fn json_number(v: f64, out: &mut String) {
 /// Sanitizes a dotted metric name into a Prometheus metric name:
 /// `[a-zA-Z0-9_:]` pass through, everything else becomes `_`, and a leading
 /// digit gains a `_` prefix.
-fn prometheus_name(name: &str) -> String {
+pub fn prometheus_name(name: &str) -> String {
     let mut out = String::with_capacity(name.len() + 1);
     for (i, c) in name.chars().enumerate() {
         match c {
@@ -92,6 +94,98 @@ fn prometheus_number(v: f64, out: &mut String) {
 }
 
 impl RegistrySnapshot {
+    /// Sum of the named counters (missing or non-counter names read 0).
+    pub fn counter_sum<S: AsRef<str>>(&self, names: &[S]) -> u64 {
+        names
+            .iter()
+            .filter_map(|name| match self.values.get(name.as_ref()) {
+                Some(SnapshotValue::Counter(n)) => Some(*n),
+                _ => None,
+            })
+            .sum()
+    }
+
+    /// The named gauge's reading (missing reads 0).
+    pub fn gauge_value(&self, name: &str) -> f64 {
+        match self.values.get(name) {
+            Some(SnapshotValue::Gauge(v)) => *v,
+            _ => 0.0,
+        }
+    }
+
+    /// The named histograms, merged (missing names contribute nothing).
+    pub fn merged_histogram<S: AsRef<str>>(&self, names: &[S]) -> HistogramSnapshot {
+        let mut merged = HistogramSnapshot::empty();
+        for name in names {
+            if let Some(SnapshotValue::Histogram(h)) = self.values.get(name.as_ref()) {
+                merged.merge(h);
+            }
+        }
+        merged
+    }
+
+    /// Reads a Prometheus text exposition back into a snapshot keyed by the
+    /// sanitized names ([`prometheus_name`]): the inverse of
+    /// [`RegistrySnapshot::to_prometheus`].  The text may come from a remote
+    /// server, so reading never panics: a sample without a `# TYPE` family, or
+    /// whose name, label or value does not parse, is skipped.
+    pub fn from_prometheus(text: &str) -> RegistrySnapshot {
+        let mut kinds: BTreeMap<&str, &str> = BTreeMap::new();
+        let mut values = BTreeMap::new();
+        // Per histogram family: `(le, cumulative)` buckets, `_sum`, `_count`.
+        type Lines = (Vec<(u64, u64)>, u64, Option<u64>);
+        let mut histograms: BTreeMap<&str, Lines> = BTreeMap::new();
+        for line in text.lines() {
+            if let Some(declaration) = line.strip_prefix("# TYPE ") {
+                if let Some((name, kind)) = declaration.split_once(' ') {
+                    kinds.insert(name, kind);
+                }
+                continue;
+            }
+            let Some((series, value)) = line.rsplit_once(' ') else {
+                continue;
+            };
+            let (name, label) = match series.split_once('{') {
+                Some((name, label)) => (name, Some(label)),
+                None => (series, None),
+            };
+            let scalar = match (kinds.get(name).copied(), label) {
+                (Some("counter"), None) => value.parse().ok().map(SnapshotValue::Counter),
+                (Some("gauge"), None) => value.parse().ok().map(SnapshotValue::Gauge),
+                _ => None,
+            };
+            if let Some(scalar) = scalar {
+                values.insert(name.to_string(), scalar);
+                continue;
+            }
+            let Some((family, part)) = ["_bucket", "_sum", "_count"]
+                .into_iter()
+                .find_map(|suffix| Some((name.strip_suffix(suffix)?, suffix)))
+            else {
+                continue;
+            };
+            let (Some("histogram"), Ok(n)) = (kinds.get(family).copied(), value.parse()) else {
+                continue;
+            };
+            let (buckets, sum, count) = histograms.entry(family).or_default();
+            let le = label.and_then(|l| l.strip_prefix("le=\"")?.strip_suffix("\"}"));
+            match (part, le) {
+                ("_bucket", Some("+Inf")) => buckets.push((u64::MAX, n)),
+                ("_bucket", Some(le)) => buckets.extend(le.parse().ok().map(|le| (le, n))),
+                ("_sum", None) => *sum = n,
+                ("_count", None) => *count = Some(n),
+                _ => {}
+            }
+        }
+        for (family, (mut buckets, sum, count)) in histograms {
+            buckets.sort_unstable();
+            let count = count.or(buckets.last().map(|&(_, n)| n)).unwrap_or(0);
+            let histogram = HistogramSnapshot::from_cumulative_buckets(&buckets, count, sum);
+            values.insert(family.to_string(), SnapshotValue::Histogram(histogram));
+        }
+        RegistrySnapshot { values }
+    }
+
     /// Renders the snapshot as a single line of JSON: an object keyed by metric
     /// name, sorted.  Counters become integers, gauges numbers (non-finite → `null`),
     /// histograms objects `{"count":..,"sum":..,"mean":..,"p50":..,"p90":..,
@@ -230,6 +324,51 @@ mod tests {
             .rfind(|l| l.contains("_bucket{le=") && !l.contains("+Inf"))
             .unwrap();
         assert!(last_le.ends_with(" 4"));
+    }
+
+    #[test]
+    fn prometheus_text_reads_back_into_a_snapshot() {
+        let original = sample_snapshot();
+        let back = RegistrySnapshot::from_prometheus(&original.to_prometheus());
+        let names: Vec<&String> = back.values.keys().collect();
+        assert_eq!(
+            names,
+            [
+                "advisor_latency_best_policy",
+                "serve_queue_depth",
+                "serve_requests_served"
+            ]
+        );
+        assert_eq!(back.counter_sum(&["serve_requests_served", "missing"]), 7);
+        assert_eq!(back.gauge_value("serve_queue_depth"), 2.0);
+        let h = back.merged_histogram(&["advisor_latency_best_policy"]);
+        let SnapshotValue::Histogram(o) = &original.values["advisor.latency.best_policy"] else {
+            panic!("histogram expected");
+        };
+        assert_eq!((h.count, h.sum), (o.count, o.sum));
+        assert_eq!(h.cumulative_buckets(), o.cumulative_buckets());
+        assert_eq!(h.quantile(0.5), o.quantile(0.5));
+        // Re-rendering the read-back text reproduces it byte for byte.
+        assert_eq!(back.to_prometheus(), original.to_prometheus());
+    }
+
+    #[test]
+    fn garbled_prometheus_text_is_skipped_not_fatal() {
+        let text = "# TYPE c counter\nc 12\nc notanumber\nuntyped 4\n# TYPE g gauge\ng +Inf\n\
+                    # TYPE h histogram\nh_bucket{le=\"64\"} 3\nh_bucket{le=\"oops\"} 9\n\
+                    h_bucket{le=\"32\"} 5\nh_bucket 1\nh_sum x\nh_count 5\n# TYPE\n#\n\n \
+                    h_bucket{le=\"+Inf\"";
+        let snap = RegistrySnapshot::from_prometheus(text);
+        assert_eq!(snap.counter_sum(&["c"]), 12);
+        assert_eq!(snap.gauge_value("g"), f64::INFINITY);
+        assert!(!snap.values.contains_key("untyped"));
+        let h = snap.merged_histogram(&["h"]);
+        assert_eq!((h.count, h.sum), (5, 0));
+        // Every prefix of a well-formed dump decodes too.
+        let full = sample_snapshot().to_prometheus();
+        for cut in 0..full.len() {
+            let _ = RegistrySnapshot::from_prometheus(&full[..cut]);
+        }
     }
 
     #[test]

@@ -230,36 +230,30 @@ impl HistogramSnapshot {
     /// exactly the cross-iteration contamination `serve-bench` percentiles must
     /// not have.
     pub fn delta_since(&self, earlier: &HistogramSnapshot) -> HistogramSnapshot {
-        let count = self.count.saturating_sub(earlier.count);
-        let buckets: Vec<u64> = self
-            .buckets
-            .iter()
-            .zip(&earlier.buckets)
-            .map(|(a, b)| a.saturating_sub(*b))
-            .collect();
-        let max = if count == 0 {
-            0
-        } else {
-            let bound = buckets
-                .iter()
-                .rposition(|&n| n > 0)
-                .map(|i| {
-                    let (lo, hi) = bucket_bounds(i);
-                    if hi == u64::MAX {
-                        u64::MAX
-                    } else {
-                        (hi - 1).max(lo)
-                    }
-                })
-                .unwrap_or(self.max);
-            self.max.min(bound)
-        };
         HistogramSnapshot {
-            count,
+            count: self.count.saturating_sub(earlier.count),
             sum: self.sum.saturating_sub(earlier.sum),
-            max,
-            buckets,
+            max: 0,
+            buckets: (self.buckets.iter().zip(&earlier.buckets))
+                .map(|(a, b)| a.saturating_sub(*b))
+                .collect(),
         }
+        .bound_max(self.max)
+    }
+
+    /// Sets `max` to the tighter of `known_max` and the largest value the
+    /// highest non-empty bucket holds (0 when empty): the best bound when the
+    /// exact maximum of these samples is not known.
+    fn bound_max(mut self, known_max: u64) -> Self {
+        self.max = match self.buckets.iter().rposition(|&n| n > 0) {
+            _ if self.count == 0 => 0,
+            Some(top) => match bucket_bounds(top) {
+                (_, u64::MAX) => known_max,
+                (lower, upper) => known_max.min((upper - 1).max(lower)),
+            },
+            None => known_max,
+        };
+        self
     }
 
     /// The recording rate between `earlier` and `self`, in samples per second over
@@ -283,6 +277,32 @@ impl HistogramSnapshot {
             }
         }
         out
+    }
+
+    /// Rebuilds a snapshot from [`HistogramSnapshot::cumulative_buckets`]
+    /// pairs plus the total `count` and `sum`: the inverse of that method.
+    ///
+    /// Counts are de-cumulated saturating, so garbled input cannot panic.
+    /// The pairs do not carry the exact maximum, so `max` is the top bucket's
+    /// largest value and a quantile in that bucket reads its midpoint.
+    pub fn from_cumulative_buckets(cumulative: &[(u64, u64)], count: u64, sum: u64) -> Self {
+        let mut snapshot = HistogramSnapshot {
+            count,
+            sum,
+            ..HistogramSnapshot::empty()
+        };
+        let mut below = 0u64;
+        for &(upper, total) in cumulative {
+            snapshot.buckets[bucket_index(upper.saturating_sub(1))] += total.saturating_sub(below);
+            below = below.max(total);
+        }
+        snapshot.bound_max(u64::MAX)
+    }
+}
+
+impl Default for HistogramSnapshot {
+    fn default() -> Self {
+        Self::empty()
     }
 }
 
@@ -468,5 +488,31 @@ mod tests {
         assert_eq!(cumulative.last().unwrap().1, 6);
         // Upper bounds are strictly increasing.
         assert!(cumulative.windows(2).all(|w| w[0].0 < w[1].0));
+    }
+
+    #[test]
+    fn cumulative_buckets_read_back() {
+        let h = Histogram::new();
+        for v in [1u64, 1, 20, 20, 20, 4_700] {
+            h.record(v);
+        }
+        let s = h.snapshot();
+        let back = HistogramSnapshot::from_cumulative_buckets(&s.cumulative_buckets(), 6, s.sum);
+        assert_eq!(back.buckets, s.buckets);
+        assert_eq!((back.count, back.sum), (s.count, s.sum));
+        // Below the top bucket the estimate is unchanged.  In it, the exact max
+        // (4700, below the bucket's midpoint) is not in the pairs, so the
+        // read-back reports the midpoint.
+        assert_eq!(back.quantile(0.5), s.quantile(0.5));
+        assert_eq!(s.quantile(0.99), 4_700.0);
+        assert_eq!(
+            back.quantile(0.99),
+            bucket_value(bucket_index(4_700)) as f64
+        );
+        // Garbled pairs (descending totals, a zero bound) decode without panicking.
+        let odd =
+            HistogramSnapshot::from_cumulative_buckets(&[(0, 5), (64, 2), (u64::MAX, 9)], 3, 0);
+        assert_eq!(odd.count, 3);
+        assert_eq!(odd.max, u64::MAX);
     }
 }

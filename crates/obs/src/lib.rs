@@ -34,7 +34,7 @@
 //!   against snapshot deltas, producing typed firing/resolved [`health::Alert`]s
 //!   and a published [`health::HealthReport`] verdict.
 //! - **[`profile`]** — continuous profiling: a wall-clock sampler folding every
-//!   thread's mirrored span stack into collapsed stacks ([`profile::arm`]), an
+//!   thread's span stack into collapsed stacks ([`profile::arm`]), an
 //!   allocation profiler ([`profile::CountingAlloc`]) attributing allocs/bytes
 //!   to the innermost span site, and exporters — inferno-style collapsed text,
 //!   a self-rendered standalone flamegraph SVG, and the `!profile` JSON.
@@ -83,7 +83,7 @@ pub mod profile;
 mod registry;
 pub mod trace;
 
-pub use export::{RegistrySnapshot, SnapshotValue};
+pub use export::{prometheus_name, RegistrySnapshot, SnapshotValue};
 pub use hist::{Histogram, HistogramSnapshot, BUCKETS};
 pub use registry::{Counter, Gauge, Registry};
 
@@ -210,8 +210,8 @@ macro_rules! time {
 ///
 /// The site id is interned once per call site (cached in a `OnceLock`).  When
 /// neither tracing nor the profiler is on the cost is one relaxed atomic load;
-/// when no trace is active on this thread the span is inert (but still feeds
-/// the profiler's stack mirror while armed).  See [`trace::Span::enter`].
+/// otherwise it pushes a frame onto the thread's span stack, and records a
+/// trace span when a trace is active on this thread.  See [`trace::Span::enter`].
 #[macro_export]
 macro_rules! span {
     ($name:expr) => {

@@ -5,14 +5,16 @@
 //! request* — this module says **where the time and memory go**, cheaply enough
 //! to leave on in production.  Two independent sources feed one profile:
 //!
-//! * **Wall-clock sampler** — every span guard additionally maintains a
-//!   per-thread **stack mirror**: a fixed-depth array of interned site ids that
-//!   any thread can read, guarded by a sequence tag the same way the flight
-//!   recorder poisons slots mid-write.  A background thread ([`arm`]) wakes
-//!   `hz` times a second, snapshots every live thread's mirror, and folds each
-//!   non-empty stack into a collapsed-stack table keyed by the site path.  The
-//!   cost on instrumented threads is two short seqlock writes per span; threads
-//!   that are idle (empty stack) contribute nothing.
+//! * **Wall-clock sampler** — reads the per-thread **span stack** that
+//!   [`crate::trace`] owns.  There is one stack per thread and it has two
+//!   consumers: the tracer takes parent links from it, and this sampler copies
+//!   its site ids from another thread, guarded by a sequence tag the same way
+//!   the flight recorder poisons slots mid-write.  A background thread ([`arm`])
+//!   wakes `hz` times a second, samples every live thread's stack, and folds
+//!   each non-empty one into a collapsed-stack table keyed by the site path.
+//!   Arming opens the profiler gate, so span guards push their frames even with
+//!   tracing off; the cost on instrumented threads is two short seqlock writes
+//!   per span, and idle threads (empty stack) contribute nothing.
 //! * **Allocation profiler** — [`CountingAlloc`] is a counting
 //!   `#[global_allocator]` wrapper over [`System`] (the *only* unsafe code in
 //!   this crate, and it only delegates).  When counting is switched on
@@ -33,23 +35,21 @@
 //!
 //! # Determinism and honesty
 //!
-//! Profiling never changes what a run produces — mirrors and counters live
+//! Profiling never changes what a run produces — span stacks and counters live
 //! strictly outside result streams.  The sampler is *statistical*: a sample
 //! that races a stack push/pop is detected by the sequence tag and dropped
 //! (counted in the `torn` field), and stacks deeper than
-//! [`MAX_STACK_DEPTH`] are truncated at the mirror's capacity.
+//! [`MAX_STACK_DEPTH`] are truncated at the stack's capacity.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-/// Deepest span stack the cross-thread mirror records; deeper frames still
-/// count toward depth but their site ids are not stored (samples truncate).
-pub const MAX_STACK_DEPTH: usize = 48;
+pub use crate::trace::MAX_STACK_DEPTH;
 
 /// Per-site allocation table capacity: slot 0 is "no active span", the last
 /// slot pools every site id past the capacity, the rest map site `i` to slot
@@ -57,132 +57,20 @@ pub const MAX_STACK_DEPTH: usize = 48;
 pub const MAX_ALLOC_SITES: usize = 512;
 
 /// Sentinel for "no active span site" in the thread-local attribution cell.
-const NO_SITE: u32 = u32::MAX;
-
-// ---------------------------------------------------------------------------
-// The per-thread stack mirror (seqlock-guarded, any-thread readable)
-// ---------------------------------------------------------------------------
-
-/// One thread's span stack, mirrored as atomics so the sampler can read it
-/// from outside.  Only the owning thread writes.  The sequence tag is odd
-/// while a push/pop is in flight; a reader that observes an odd tag, or a tag
-/// change across its copy, drops the sample as torn.
-struct StackMirror {
-    seq: AtomicU64,
-    depth: AtomicU64,
-    sites: [AtomicU32; MAX_STACK_DEPTH],
-}
-
-enum Sampled {
-    Idle,
-    Torn,
-    Stack(Vec<u32>),
-}
-
-impl StackMirror {
-    fn new() -> StackMirror {
-        StackMirror {
-            seq: AtomicU64::new(0),
-            depth: AtomicU64::new(0),
-            sites: std::array::from_fn(|_| AtomicU32::new(0)),
-        }
-    }
-
-    /// Pushes `site` (owning thread only).
-    fn push(&self, site: u32) {
-        let seq = self.seq.load(Ordering::Relaxed);
-        self.seq.store(seq.wrapping_add(1), Ordering::Release);
-        let depth = self.depth.load(Ordering::Relaxed) as usize;
-        if depth < MAX_STACK_DEPTH {
-            self.sites[depth].store(site, Ordering::Relaxed);
-        }
-        self.depth.store(depth as u64 + 1, Ordering::Relaxed);
-        self.seq.store(seq.wrapping_add(2), Ordering::Release);
-    }
-
-    /// Pops one frame (owning thread only); returns the new innermost site,
-    /// or [`NO_SITE`] when the stack empties.
-    fn pop(&self) -> u32 {
-        let seq = self.seq.load(Ordering::Relaxed);
-        self.seq.store(seq.wrapping_add(1), Ordering::Release);
-        let depth = self.depth.load(Ordering::Relaxed).saturating_sub(1);
-        self.depth.store(depth, Ordering::Relaxed);
-        self.seq.store(seq.wrapping_add(2), Ordering::Release);
-        if depth == 0 {
-            NO_SITE
-        } else {
-            let top = (depth as usize).min(MAX_STACK_DEPTH) - 1;
-            self.sites[top].load(Ordering::Relaxed)
-        }
-    }
-
-    /// Copies the stack (any thread); torn and idle reads are distinguished.
-    fn sample(&self) -> Sampled {
-        let before = self.seq.load(Ordering::Acquire);
-        if before & 1 == 1 {
-            return Sampled::Torn;
-        }
-        let depth = self.depth.load(Ordering::Acquire) as usize;
-        if depth == 0 {
-            return Sampled::Idle;
-        }
-        let stored = depth.min(MAX_STACK_DEPTH);
-        let mut path = Vec::with_capacity(stored);
-        for slot in &self.sites[..stored] {
-            path.push(slot.load(Ordering::Relaxed));
-        }
-        if self.seq.load(Ordering::Acquire) != before {
-            return Sampled::Torn;
-        }
-        Sampled::Stack(path)
-    }
-}
-
-fn mirrors() -> &'static Mutex<Vec<Arc<StackMirror>>> {
-    static MIRRORS: OnceLock<Mutex<Vec<Arc<StackMirror>>>> = OnceLock::new();
-    MIRRORS.get_or_init(|| Mutex::new(Vec::new()))
-}
+pub(crate) const NO_SITE: u32 = u32::MAX;
 
 thread_local! {
-    static THREAD_MIRROR: RefCell<Option<Arc<StackMirror>>> = const { RefCell::new(None) };
-    /// The innermost active span site, for allocation attribution.  Const-
-    /// initialised: reading it from inside the allocator cannot allocate.
+    /// The innermost active span site, for allocation attribution: the span
+    /// stack's copy of its top frame.  Const-initialised: reading it from
+    /// inside the allocator cannot allocate.
     static CURRENT_SITE: Cell<u32> = const { Cell::new(NO_SITE) };
 }
 
-/// Mirrors a span entry (called by the trace layer when the profiler gate is
-/// on).  Returns whether a matching [`pop_site`] is owed — false only when the
-/// thread is shutting down and its thread-locals are gone.
-pub(crate) fn push_site(site: u32) -> bool {
-    let pushed = THREAD_MIRROR
-        .try_with(|cell| {
-            let mut slot = cell.borrow_mut();
-            if slot.is_none() {
-                let mirror = Arc::new(StackMirror::new());
-                mirrors()
-                    .lock()
-                    .expect("profile mirror list poisoned")
-                    .push(Arc::clone(&mirror));
-                *slot = Some(mirror);
-            }
-            slot.as_ref().expect("mirror just installed").push(site);
-        })
-        .is_ok();
-    if pushed {
-        let _ = CURRENT_SITE.try_with(|cell| cell.set(site));
-    }
-    pushed
-}
-
-/// Mirrors a span exit; the inverse of [`push_site`].
-pub(crate) fn pop_site() {
-    let top = THREAD_MIRROR
-        .try_with(|cell| cell.borrow().as_ref().map(|mirror| mirror.pop()))
-        .ok()
-        .flatten();
-    if let Some(site) = top {
-        let _ = CURRENT_SITE.try_with(|cell| cell.set(site));
-    }
+/// Records `site` as the innermost active span site (called by the span stack
+/// on every push and pop).
+#[inline]
+pub(crate) fn set_current_site(site: u32) {
+    let _ = CURRENT_SITE.try_with(|cell| cell.set(site));
 }
 
 // ---------------------------------------------------------------------------
@@ -213,22 +101,11 @@ struct SamplerState {
 
 static SAMPLER: Mutex<Option<SamplerState>> = Mutex::new(None);
 
-/// One sampler tick: snapshot every mirror, fold non-empty stacks.  Factored
-/// out of the thread loop so tests can drive it deterministically.
+/// One sampler tick: sample every thread's span stack, fold the non-empty
+/// ones.  Factored out of the thread loop so tests can drive it
+/// deterministically.
 pub(crate) fn tick() {
-    let snapshot: Vec<Arc<StackMirror>> = mirrors()
-        .lock()
-        .expect("profile mirror list poisoned")
-        .clone();
-    let mut folded: Vec<Vec<u32>> = Vec::new();
-    let mut torn = 0u64;
-    for mirror in &snapshot {
-        match mirror.sample() {
-            Sampled::Idle => {}
-            Sampled::Torn => torn += 1,
-            Sampled::Stack(path) => folded.push(path),
-        }
-    }
+    let (folded, torn) = crate::trace::sample_stacks();
     let mut wall = WALL.lock().expect("profile wall state poisoned");
     wall.ticks += 1;
     wall.torn += torn;
@@ -239,8 +116,8 @@ pub(crate) fn tick() {
 }
 
 /// Arms the wall-clock sampler at `hz` samples per second (clamped to
-/// `1..=10_000`) and opens the profiler gate so span guards start maintaining
-/// their stack mirrors.  Returns `false` (and changes nothing) if already
+/// `1..=10_000`) and opens the profiler gate so span guards push their frames
+/// even with tracing off.  Returns `false` (and changes nothing) if already
 /// armed.  Counting allocation is a separate switch: [`set_counting`].
 pub fn arm(hz: u64) -> bool {
     let hz = hz.clamp(1, 10_000);
@@ -289,8 +166,8 @@ pub fn armed() -> bool {
         .is_some()
 }
 
-/// Clears accumulated wall samples and allocation counters (mirrors and the
-/// armed state are untouched).  Intended for tests and benchmarks.
+/// Clears accumulated wall samples and allocation counters (span stacks and
+/// the armed state are untouched).  Intended for tests and benchmarks.
 pub fn reset() {
     let mut wall = WALL.lock().expect("profile wall state poisoned");
     wall.stacks.clear();
@@ -494,7 +371,7 @@ pub struct ProfileSnapshot {
     pub ticks: u64,
     /// Non-empty stacks folded (one per busy thread per tick).
     pub samples: u64,
-    /// Samples dropped because a mirror was mid-write.
+    /// Samples dropped because a span stack was mid-write.
     pub torn: u64,
     /// Collapsed stacks, site names resolved, sorted by path.
     pub stacks: Vec<(Vec<String>, u64)>,
@@ -911,36 +788,29 @@ mod tests {
 
     #[test]
     fn mirror_push_pop_and_sample() {
-        let mirror = StackMirror::new();
-        assert!(matches!(mirror.sample(), Sampled::Idle));
-        mirror.push(3);
-        mirror.push(7);
-        match mirror.sample() {
-            Sampled::Stack(path) => assert_eq!(path, vec![3, 7]),
-            _ => panic!("expected a stack"),
-        }
-        assert_eq!(mirror.pop(), 3);
-        assert_eq!(mirror.pop(), NO_SITE);
-        assert!(matches!(mirror.sample(), Sampled::Idle));
+        let stack = crate::trace::SpanStack::new();
+        assert_eq!(stack.sample(), Some(vec![]));
+        stack.push(3, 0);
+        stack.push(7, 0);
+        assert_eq!(stack.sample(), Some(vec![3, 7]));
+        assert_eq!(stack.pop_to(1), 3);
+        assert_eq!(stack.pop_to(0), NO_SITE);
+        assert_eq!(stack.sample(), Some(vec![]));
     }
 
     #[test]
     fn mirror_depth_overflow_truncates_but_balances() {
-        let mirror = StackMirror::new();
+        let stack = crate::trace::SpanStack::new();
         for i in 0..(MAX_STACK_DEPTH as u32 + 5) {
-            mirror.push(i);
+            stack.push(i, 0);
         }
-        match mirror.sample() {
-            Sampled::Stack(path) => {
-                assert_eq!(path.len(), MAX_STACK_DEPTH);
-                assert_eq!(path[MAX_STACK_DEPTH - 1], MAX_STACK_DEPTH as u32 - 1);
-            }
-            _ => panic!("expected a stack"),
+        let path = stack.sample().expect("no concurrent writer");
+        assert_eq!(path.len(), MAX_STACK_DEPTH);
+        assert_eq!(path[MAX_STACK_DEPTH - 1], MAX_STACK_DEPTH as u32 - 1);
+        for depth in (0..(MAX_STACK_DEPTH + 5)).rev() {
+            stack.pop_to(depth);
         }
-        for _ in 0..(MAX_STACK_DEPTH as u32 + 5) {
-            mirror.pop();
-        }
-        assert!(matches!(mirror.sample(), Sampled::Idle));
+        assert_eq!(stack.sample(), Some(vec![]));
     }
 
     #[test]
@@ -1028,36 +898,6 @@ mod tests {
         let svg = flamegraph_svg(&snap);
         assert!(svg.contains("no samples"));
         assert!(svg.ends_with("</svg>"));
-    }
-
-    #[test]
-    fn sampler_folds_live_span_stacks() {
-        // Drive the tick function directly (no background thread): hold a
-        // mirrored stack on this thread and verify folding.
-        let before = snapshot().ticks;
-        assert!(push_site(crate::trace::site_id("profile.test.outer")));
-        assert!(push_site(crate::trace::site_id("profile.test.inner")));
-        tick();
-        pop_site();
-        pop_site();
-        let snap = snapshot();
-        assert!(snap.ticks > before);
-        let path = snap
-            .stacks
-            .iter()
-            .find(|(path, _)| path.contains(&"profile.test.inner".to_string()))
-            .expect("folded stack recorded");
-        let outer_pos = path
-            .0
-            .iter()
-            .position(|f| f == "profile.test.outer")
-            .expect("outer frame present");
-        let inner_pos = path
-            .0
-            .iter()
-            .position(|f| f == "profile.test.inner")
-            .unwrap();
-        assert!(outer_pos < inner_pos, "outermost frame first");
     }
 
     #[test]

@@ -13,10 +13,14 @@
 //!   `u32` id), a start offset and duration in monotonic nanoseconds since the
 //!   process trace epoch, a small `u64` argument, and its position in a tree
 //!   (`trace_id`, `span_id`, `parent_id`).
-//! * Spans nest through an implicit thread-local stack: [`RootSpan`] opens a
-//!   request-scoped trace, [`Span`] guards opened underneath it become children of
-//!   whatever is innermost, and everything is RAII — no context threading by hand.
-//!   (See the [`crate::root_span!`] and [`crate::span!`] macros.)
+//! * Spans nest through an implicit per-thread **span stack**: [`RootSpan`] opens
+//!   a request-scoped trace, [`Span`] guards opened underneath it become children
+//!   of whatever is innermost, and everything is RAII — no context threading by
+//!   hand.  (See the [`crate::root_span!`] and [`crate::span!`] macros.)
+//! * The span stack has two readers.  Each frame holds a site id, which the
+//!   wall-clock sampler in [`crate::profile`] copies from another thread, and
+//!   the span id the tracer links children to.  Every guard opened while
+//!   tracing or the profiler is on pushes and pops it exactly once.
 //! * Completed traces are committed to the **flight recorder**: per-thread
 //!   fixed-capacity ring buffers ([`RING_CAPACITY`] records each) that the owning
 //!   thread writes without locks and any thread snapshots via [`recent_spans`].
@@ -34,14 +38,14 @@
 //!
 //! Tracing is disabled until [`configure`] turns it on; a disabled [`Span`]
 //! creation is one relaxed atomic load.  Active spans cost two `Instant::now`
-//! calls plus a thread-local vector push.  Nothing here feeds back into
-//! scheduling, and exporters iterate sorted data, so exports are deterministic
-//! given the same records.
+//! calls, a thread-local vector push and a span-stack push.  Nothing here feeds
+//! back into scheduling, and exporters iterate sorted data, so exports are
+//! deterministic given the same records.
 
-use std::cell::RefCell;
+use std::cell::{OnceCell, RefCell};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
@@ -69,7 +73,7 @@ static NEXT_SPAN_ID: AtomicU64 = AtomicU64::new(1);
 
 /// Gate bit: tracing is configured (sampling or the slow log is on).
 const GATE_TRACE: u64 = 1;
-/// Gate bit: the wall-clock profiler is armed and wants stack mirrors kept.
+/// Gate bit: the wall-clock profiler is armed and reads the span stacks.
 const GATE_PROFILE: u64 = 2;
 
 #[inline]
@@ -359,21 +363,217 @@ pub fn clear() {
 }
 
 // ---------------------------------------------------------------------------
-// Active traces: the thread-local span stack
+// The span stack: one per thread, read by the tracer and the profiler
+// ---------------------------------------------------------------------------
+
+/// Deepest nesting a span stack stores.  Deeper frames keep guards balanced
+/// but store no site and record no span (counted in `trace.spans.truncated`).
+pub const MAX_STACK_DEPTH: usize = 48;
+
+/// Sentinel depth of a guard that pushed no frame.
+const INERT: usize = usize::MAX;
+
+/// One open span on a thread's stack.
+struct Frame {
+    /// Interned site id, read by the sampler from any thread.
+    site: AtomicU32,
+    /// The parent span id for this frame's children: its own trace span, or its
+    /// parent's link when it records none.  Read by the owning thread only.
+    link: AtomicU64,
+}
+
+/// One thread's span stack, written by that thread only.  The sequence tag is
+/// odd while a push or pop is in flight; a reader that sees an odd tag, or a
+/// tag change across its copy, drops the sample as torn.
+pub(crate) struct SpanStack {
+    seq: AtomicU64,
+    depth: AtomicU64,
+    frames: [Frame; MAX_STACK_DEPTH],
+}
+
+impl SpanStack {
+    pub(crate) fn new() -> SpanStack {
+        SpanStack {
+            seq: AtomicU64::new(0),
+            depth: AtomicU64::new(0),
+            frames: std::array::from_fn(|_| Frame {
+                site: AtomicU32::new(0),
+                link: AtomicU64::new(0),
+            }),
+        }
+    }
+
+    /// Open frames, stored or not (owning thread).
+    fn depth(&self) -> usize {
+        self.depth.load(Ordering::Relaxed) as usize
+    }
+
+    /// The parent span id for a frame opening at `depth` (0 when outermost).
+    fn parent_link(&self, depth: usize) -> u64 {
+        match depth.checked_sub(1) {
+            Some(below) if below < MAX_STACK_DEPTH => {
+                self.frames[below].link.load(Ordering::Relaxed)
+            }
+            _ => 0,
+        }
+    }
+
+    /// Pushes one frame (owning thread only).
+    pub(crate) fn push(&self, site: u32, link: u64) {
+        let seq = self.seq.load(Ordering::Relaxed);
+        self.seq.store(seq.wrapping_add(1), Ordering::Release);
+        let depth = self.depth();
+        if let Some(frame) = self.frames.get(depth) {
+            frame.site.store(site, Ordering::Relaxed);
+            frame.link.store(link, Ordering::Relaxed);
+        }
+        self.depth.store(depth as u64 + 1, Ordering::Relaxed);
+        self.seq.store(seq.wrapping_add(2), Ordering::Release);
+    }
+
+    /// Pops every frame at or above `depth` (owning thread only; a leaked inner
+    /// guard cannot unbalance the stack) and returns the new innermost site.
+    pub(crate) fn pop_to(&self, depth: usize) -> u32 {
+        let seq = self.seq.load(Ordering::Relaxed);
+        self.seq.store(seq.wrapping_add(1), Ordering::Release);
+        let depth = depth.min(self.depth());
+        self.depth.store(depth as u64, Ordering::Relaxed);
+        self.seq.store(seq.wrapping_add(2), Ordering::Release);
+        match depth.min(MAX_STACK_DEPTH).checked_sub(1) {
+            Some(top) => self.frames[top].site.load(Ordering::Relaxed),
+            None => crate::profile::NO_SITE,
+        }
+    }
+
+    /// Copies the stored site ids, outermost first (any thread): empty for an
+    /// idle thread, `None` for a read torn by a concurrent push or pop.
+    pub(crate) fn sample(&self) -> Option<Vec<u32>> {
+        let before = self.seq.load(Ordering::Acquire);
+        let depth = self.depth.load(Ordering::Acquire) as usize;
+        let path: Vec<u32> = self.frames[..depth.min(MAX_STACK_DEPTH)]
+            .iter()
+            .map(|frame| frame.site.load(Ordering::Relaxed))
+            .collect();
+        (before & 1 == 0 && self.seq.load(Ordering::Acquire) == before).then_some(path)
+    }
+}
+
+/// Every live thread's span stack, for the sampler.
+static STACKS: Mutex<Vec<Arc<SpanStack>>> = Mutex::new(Vec::new());
+
+/// Samples every live thread's span stack: the non-empty stacks and the count
+/// of torn reads.
+pub(crate) fn sample_stacks() -> (Vec<Vec<u32>>, u64) {
+    let all: Vec<Arc<SpanStack>> = STACKS.lock().expect("span stack list poisoned").clone();
+    let mut stacks = Vec::new();
+    let mut torn = 0u64;
+    for stack in &all {
+        match stack.sample() {
+            None => torn += 1,
+            Some(path) if !path.is_empty() => stacks.push(path),
+            Some(_) => {}
+        }
+    }
+    (stacks, torn)
+}
+
+// ---------------------------------------------------------------------------
+// Active traces
 // ---------------------------------------------------------------------------
 
 struct ActiveTrace {
     trace_id: u64,
     is_sampled: bool,
-    /// Indices into `spans` of the currently open ancestors, innermost last.
-    stack: Vec<usize>,
     /// Every span of this trace, committed or discarded wholesale at root exit.
+    /// Index 0 is the root.
     spans: Vec<SpanRecord>,
     truncated: u64,
 }
 
+impl ActiveTrace {
+    /// A new trace for the root seeded by `seed`, if it is sampled or the slow
+    /// log may retain it.
+    fn begin(seed: u64) -> Option<ActiveTrace> {
+        let is_sampled = sampled(seed);
+        (is_sampled || slow_threshold_ns() > 0).then(|| ActiveTrace {
+            trace_id: mix64(seed) | 1,
+            is_sampled,
+            spans: Vec::with_capacity(8),
+            truncated: 0,
+        })
+    }
+
+    /// Records a child of `parent_id` at stack `depth`: one opening now, or,
+    /// given `began`, one that ran from then until now.  Returns its index,
+    /// span id and start, or `None` (truncated) when too deep or the trace is
+    /// full — before reading the clock.
+    fn record(
+        &mut self,
+        site: u32,
+        (parent_id, depth): (u64, usize),
+        began: Option<Instant>,
+        arg: u64,
+    ) -> Option<(usize, u64, Instant)> {
+        if depth >= MAX_STACK_DEPTH || self.spans.len() >= MAX_SPANS_PER_TRACE {
+            self.truncated += 1;
+            return None;
+        }
+        let (started, dur_ns) = match began {
+            Some(began) => (began, began.elapsed().as_nanos() as u64),
+            None => (Instant::now(), 0),
+        };
+        let span_id = NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed);
+        self.spans.push(SpanRecord {
+            trace_id: self.trace_id,
+            span_id,
+            parent_id,
+            site,
+            lane: 0,
+            flags: 0,
+            start_ns: since_epoch_ns(started),
+            dur_ns,
+            arg,
+        });
+        Some((self.spans.len() - 1, span_id, started))
+    }
+}
+
+/// A thread's span stack (registered with the sampler on first use) and its
+/// open request trace, if any.
+struct ThreadSpans {
+    stack: OnceCell<Arc<SpanStack>>,
+    active: RefCell<Option<ActiveTrace>>,
+}
+
+impl ThreadSpans {
+    fn stack(&self) -> &SpanStack {
+        self.stack.get_or_init(|| {
+            let stack = Arc::new(SpanStack::new());
+            STACKS
+                .lock()
+                .expect("span stack list poisoned")
+                .push(Arc::clone(&stack));
+            stack
+        })
+    }
+}
+
+impl Drop for ThreadSpans {
+    /// Unregisters an exiting thread's stack from the sampler's list.
+    fn drop(&mut self) {
+        if let (Some(stack), Ok(mut all)) = (self.stack.get(), STACKS.lock()) {
+            all.retain(|other| !Arc::ptr_eq(other, stack));
+        }
+    }
+}
+
 thread_local! {
-    static ACTIVE: RefCell<Option<ActiveTrace>> = const { RefCell::new(None) };
+    static THREAD: ThreadSpans = const {
+        ThreadSpans {
+            stack: OnceCell::new(),
+            active: RefCell::new(None),
+        }
+    };
 }
 
 struct TraceCounters {
@@ -395,18 +595,51 @@ fn trace_counters() -> &'static TraceCounters {
     })
 }
 
+/// Pushes `site` onto this thread's span stack, returning the guard that pops
+/// it.  With tracing on the frame also records a span: a child in the active
+/// trace, or, for a root (`root_seed` given), the root of a new trace.
+fn push_frame(site: u32, arg: u64, gates: u64, root_seed: Option<u64>) -> Span {
+    THREAD
+        .try_with(|thread| {
+            let stack = thread.stack();
+            let depth = stack.depth();
+            let mut link = stack.parent_link(depth);
+            let mut record = None;
+            if gates & GATE_TRACE != 0 {
+                let mut active = thread.active.borrow_mut();
+                let mut at = (link, depth);
+                if let (None, Some(seed)) = (active.as_ref(), root_seed) {
+                    // A root with no trace open starts one, as its tree's depth 0.
+                    *active = ActiveTrace::begin(seed);
+                    at = (0, 0);
+                }
+                if let Some((index, span_id, started)) = active
+                    .as_mut()
+                    .and_then(|trace| trace.record(site, at, None, arg))
+                {
+                    link = span_id;
+                    record = Some((index, started));
+                }
+            }
+            stack.push(site, link);
+            crate::profile::set_current_site(site);
+            Span { depth, record }
+        })
+        .unwrap_or_else(|_| Span::inert())
+}
+
 /// An RAII guard for a span nested inside the current thread's active trace.
 ///
 /// Created by [`Span::enter`] (usually via the [`crate::span!`] macro).  Inert —
-/// a no-op shell — when tracing is off or no trace is active on this thread, so
-/// instrumented code needs no conditionals.
+/// a no-op shell — when neither tracing nor the profiler is on; records no
+/// trace span when no trace is active on this thread, so instrumented code
+/// needs no conditionals.
 #[must_use = "a span measures until dropped; binding it to `_` drops immediately"]
 pub struct Span {
-    /// Index into the active trace's span buffer, or `usize::MAX` when inert.
-    index: usize,
-    started: Option<Instant>,
-    /// Whether this guard pushed the profiler's stack mirror and owes a pop.
-    mirror_pushed: bool,
+    /// This guard's frame on the span stack ([`INERT`] when it pushed none).
+    depth: usize,
+    /// The span this guard records: its index in the active trace, its start.
+    record: Option<(usize, Instant)>,
 }
 
 impl Span {
@@ -414,114 +647,42 @@ impl Span {
     pub fn inert() -> Span {
         // No clock read: the inert guard must cost nothing beyond its construction.
         Span {
-            index: usize::MAX,
-            started: None,
-            mirror_pushed: false,
+            depth: INERT,
+            record: None,
         }
     }
 
     /// Opens a child of the innermost open span on this thread, carrying `arg`.
     ///
-    /// Inert when neither tracing nor the profiler is on.  When only the
-    /// profiler is armed the guard records no trace span but still maintains
-    /// the thread's stack mirror, so wall-clock samples see the full stack.
+    /// Inert when neither tracing nor the profiler is on.  Otherwise the guard
+    /// pushes a span-stack frame and, inside an active trace, records a span.
     #[inline]
     pub fn enter(site: u32, arg: u64) -> Span {
         let gates = gates();
         if gates == 0 {
             return Span::inert();
         }
-        let mirror_pushed = gates & GATE_PROFILE != 0 && crate::profile::push_site(site);
-        if gates & GATE_TRACE == 0 {
-            return Span {
-                index: usize::MAX,
-                started: None,
-                mirror_pushed,
-            };
-        }
-        ACTIVE.with(|cell| {
-            let mut active = cell.borrow_mut();
-            let Some(trace) = active.as_mut() else {
-                return Span {
-                    index: usize::MAX,
-                    started: None,
-                    mirror_pushed,
-                };
-            };
-            let mut span = Span::open_in(trace, site, arg);
-            span.mirror_pushed = mirror_pushed;
-            span
-        })
-    }
-
-    fn open_in(trace: &mut ActiveTrace, site: u32, arg: u64) -> Span {
-        if trace.spans.len() >= MAX_SPANS_PER_TRACE {
-            trace.truncated += 1;
-            return Span::inert();
-        }
-        let started = Instant::now();
-        let parent_id = trace
-            .stack
-            .last()
-            .map(|&i| trace.spans[i].span_id)
-            .unwrap_or(0);
-        let index = trace.spans.len();
-        trace.spans.push(SpanRecord {
-            trace_id: trace.trace_id,
-            span_id: NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed),
-            parent_id,
-            site,
-            lane: 0,
-            flags: 0,
-            start_ns: since_epoch_ns(started),
-            dur_ns: 0,
-            arg,
-        });
-        trace.stack.push(index);
-        Span {
-            index,
-            started: Some(started),
-            mirror_pushed: false,
-        }
-    }
-
-    fn close_in(trace: &mut ActiveTrace, index: usize, started: Instant) {
-        trace.spans[index].dur_ns = started.elapsed().as_nanos() as u64;
-        // Guards drop in LIFO order, so the top of the stack is this span; tolerate
-        // out-of-order drops (mem::forget'd siblings) by searching from the top.
-        if let Some(pos) = trace.stack.iter().rposition(|&i| i == index) {
-            trace.stack.remove(pos);
-        }
+        push_frame(site, arg, gates, None)
     }
 }
 
 impl Drop for Span {
     fn drop(&mut self) {
-        if self.index != usize::MAX {
-            if let Some(started) = self.started {
-                ACTIVE.with(|cell| {
-                    if let Some(trace) = cell.borrow_mut().as_mut() {
-                        Span::close_in(trace, self.index, started);
-                    }
-                });
+        if self.depth == INERT {
+            return;
+        }
+        let _ = THREAD.try_with(|thread| {
+            if let Some((index, started)) = self.record {
+                let mut active = thread.active.borrow_mut();
+                if let Some(record) = active.as_mut().and_then(|t| t.spans.get_mut(index)) {
+                    record.dur_ns = started.elapsed().as_nanos() as u64;
+                }
             }
-        }
-        if self.mirror_pushed {
-            crate::profile::pop_site();
-        }
+            if let Some(stack) = thread.stack.get() {
+                crate::profile::set_current_site(stack.pop_to(self.depth));
+            }
+        });
     }
-}
-
-enum RootState {
-    Inert,
-    /// A root opened while a trace was already active nests as a plain child; the
-    /// guard is held only for its drop.
-    Nested {
-        _child: Span,
-    },
-    Root {
-        started: Instant,
-    },
 }
 
 /// An RAII guard opening (and at drop, committing or discarding) one
@@ -534,17 +695,16 @@ enum RootState {
 /// unsampled requests leave nothing behind but one counter increment.
 #[must_use = "a root span measures until dropped; binding it to `_` drops immediately"]
 pub struct RootSpan {
-    state: RootState,
-    /// Whether this guard pushed the profiler's stack mirror and owes a pop.
-    mirror_pushed: bool,
+    /// The root's frame.  A record at index 0 means this guard opened the
+    /// trace and commits it at drop; a nested root records a plain child.
+    span: Span,
 }
 
 impl RootSpan {
     /// A root that records nothing.
     pub fn inert() -> RootSpan {
         RootSpan {
-            state: RootState::Inert,
-            mirror_pushed: false,
+            span: Span::inert(),
         }
     }
 
@@ -553,85 +713,34 @@ impl RootSpan {
     /// `seed` drives deterministic sampling (see [`sampled`]); `arg` is stored on
     /// the root record.  If this thread already has an active trace the "root"
     /// nests as an ordinary child span, which lets per-request roots compose with
-    /// an enclosing per-connection root when batches run inline.  When the
-    /// profiler is armed the guard also maintains the thread's stack mirror,
-    /// independent of the sampling decision.
+    /// an enclosing per-connection root when batches run inline.  Like
+    /// [`Span::enter`], it pushes a span-stack frame whatever the sampling.
     #[inline]
     pub fn enter(site: u32, seed: u64, arg: u64) -> RootSpan {
         let gates = gates();
         if gates == 0 {
             return RootSpan::inert();
         }
-        let mirror_pushed = gates & GATE_PROFILE != 0 && crate::profile::push_site(site);
-        if gates & GATE_TRACE == 0 {
-            return RootSpan {
-                state: RootState::Inert,
-                mirror_pushed,
-            };
+        RootSpan {
+            span: push_frame(site, arg, gates, Some(seed)),
         }
-        ACTIVE.with(|cell| {
-            let mut active = cell.borrow_mut();
-            if let Some(trace) = active.as_mut() {
-                return RootSpan {
-                    state: RootState::Nested {
-                        _child: Span::open_in(trace, site, arg),
-                    },
-                    mirror_pushed,
-                };
-            }
-            let is_sampled = sampled(seed);
-            if !is_sampled && slow_threshold_ns() == 0 {
-                return RootSpan {
-                    state: RootState::Inert,
-                    mirror_pushed,
-                };
-            }
-            let started = Instant::now();
-            let mut trace = ActiveTrace {
-                trace_id: mix64(seed) | 1,
-                is_sampled,
-                stack: Vec::with_capacity(8),
-                spans: Vec::with_capacity(8),
-                truncated: 0,
-            };
-            trace.spans.push(SpanRecord {
-                trace_id: trace.trace_id,
-                span_id: NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed),
-                parent_id: 0,
-                site,
-                lane: 0,
-                flags: 0,
-                start_ns: since_epoch_ns(started),
-                dur_ns: 0,
-                arg,
-            });
-            trace.stack.push(0);
-            *active = Some(trace);
-            RootSpan {
-                state: RootState::Root { started },
-                mirror_pushed,
-            }
-        })
     }
 }
 
 impl Drop for RootSpan {
     fn drop(&mut self) {
-        // The Nested state's child guard drops here (a no-op for the mirror:
-        // its flag is false — the root-level push below covers the site).
-        let state = std::mem::replace(&mut self.state, RootState::Inert);
-        if let RootState::Root { started } = state {
+        if let Some((0, started)) = self.span.record {
+            self.span.record = None;
             Self::commit(started);
         }
-        if self.mirror_pushed {
-            crate::profile::pop_site();
-        }
+        // The root's frame pops when `self.span` drops.
     }
 }
 
 impl RootSpan {
     fn commit(started: Instant) {
-        let Some(mut trace) = ACTIVE.with(|cell| cell.borrow_mut().take()) else {
+        let Ok(Some(mut trace)) = THREAD.try_with(|thread| thread.active.borrow_mut().take())
+        else {
             return;
         };
         let dur_ns = started.elapsed().as_nanos() as u64;
@@ -673,31 +782,15 @@ pub fn complete_span(site: u32, started: Instant, arg: u64) {
     if !tracing_configured() {
         return;
     }
-    ACTIVE.with(|cell| {
-        let mut active = cell.borrow_mut();
+    let _ = THREAD.try_with(|thread| {
+        let mut active = thread.active.borrow_mut();
         let Some(trace) = active.as_mut() else {
             return;
         };
-        if trace.spans.len() >= MAX_SPANS_PER_TRACE {
-            trace.truncated += 1;
-            return;
-        }
-        let parent_id = trace
-            .stack
-            .last()
-            .map(|&i| trace.spans[i].span_id)
-            .unwrap_or(0);
-        trace.spans.push(SpanRecord {
-            trace_id: trace.trace_id,
-            span_id: NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed),
-            parent_id,
-            site,
-            lane: 0,
-            flags: 0,
-            start_ns: since_epoch_ns(started),
-            dur_ns: started.elapsed().as_nanos() as u64,
-            arg,
-        });
+        // The completed span sits just above the innermost open frame.
+        let stack = thread.stack();
+        let at = (stack.parent_link(stack.depth()), stack.depth());
+        trace.record(site, at, Some(started), arg);
     });
 }
 
@@ -1001,6 +1094,86 @@ mod tests {
             .position(|f| f == "test.mirrorgate.child")
             .unwrap();
         assert!(root_pos < child_pos);
+    }
+
+    #[test]
+    fn nesting_past_the_stack_depth_is_truncated_with_parent_links_intact() {
+        let _gate = lock();
+        configure(1, 0);
+        clear();
+        let truncated = crate::counter("trace.spans.truncated");
+        let before = truncated.get();
+        let root_site = site_id("test.deep.root");
+        let child_site = site_id("test.deep.child");
+        let extra = 13;
+        {
+            let _root = RootSpan::enter(root_site, 11, 0);
+            let mut guards: Vec<Span> = (1..MAX_STACK_DEPTH + extra)
+                .map(|depth| Span::enter(child_site, depth as u64))
+                .collect();
+            complete_span(child_site, Instant::now(), u64::MAX);
+            while let Some(guard) = guards.pop() {
+                drop(guard);
+            }
+        }
+        let records: Vec<SpanRecord> = recent_spans()
+            .into_iter()
+            .filter(|r| r.site == root_site || r.site == child_site)
+            .collect();
+        // The root and one child per depth below the limit are recorded; the
+        // deeper children and the completed span past them are truncated.
+        assert_eq!(records.len(), MAX_STACK_DEPTH);
+        assert_eq!(truncated.get() - before, extra as u64 + 1);
+        let mut parent = records.iter().find(|r| r.site == root_site).unwrap();
+        assert_eq!(parent.parent_id, 0);
+        for depth in 1..MAX_STACK_DEPTH as u64 {
+            let child = records
+                .iter()
+                .find(|r| r.site == child_site && r.arg == depth)
+                .unwrap_or_else(|| panic!("no span at depth {depth}"));
+            assert_eq!(child.parent_id, parent.span_id, "depth {depth}");
+            assert_eq!(child.trace_id, parent.trace_id);
+            parent = child;
+        }
+        configure(0, 0);
+    }
+
+    #[test]
+    fn tracer_and_profiler_read_one_stack() {
+        let _gate = lock();
+        configure(1, 0);
+        clear();
+        set_profile_gate(true);
+        let root_site = site_id("test.shared.root");
+        let child_site = site_id("test.shared.child");
+        {
+            let _root = RootSpan::enter(root_site, 21, 0);
+            let _child = Span::enter(child_site, 0);
+            crate::profile::tick();
+        }
+        set_profile_gate(false);
+        configure(0, 0);
+        let records = recent_spans();
+        let root = records.iter().find(|r| r.site == root_site).unwrap();
+        let children: Vec<&SpanRecord> = records.iter().filter(|r| r.site == child_site).collect();
+        assert_eq!(children.len(), 1, "one span, one record");
+        assert_eq!(children[0].parent_id, root.span_id);
+        let snap = crate::profile::snapshot();
+        let paths: Vec<&Vec<String>> = snap
+            .stacks
+            .iter()
+            .map(|(path, _)| path)
+            .filter(|path| path.contains(&"test.shared.child".to_string()))
+            .collect();
+        assert_eq!(paths.len(), 1, "one span, one sampled stack");
+        assert_eq!(
+            paths[0],
+            &vec![
+                "test.shared.root".to_string(),
+                "test.shared.child".to_string()
+            ],
+            "each frame once, outermost first"
+        );
     }
 
     #[test]

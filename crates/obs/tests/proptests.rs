@@ -1,9 +1,11 @@
 //! Property-based tests for the observability core: histogram quantile accuracy
-//! against exact sorted-sample quantiles, concurrent-recording consistency, and
-//! the continuous profiler's collapsed-stack invariants.
+//! against exact sorted-sample quantiles, concurrent-recording consistency, the
+//! Prometheus text round trip, and the continuous profiler's collapsed-stack
+//! invariants.
 
 use proptest::prelude::*;
-use tcp_obs::{Counter, Histogram};
+use std::collections::BTreeMap;
+use tcp_obs::{Counter, Histogram, RegistrySnapshot, SnapshotValue};
 
 /// Frame alphabet for synthetic span stacks: interned-looking dotted names the
 /// draw indices below map onto.
@@ -308,5 +310,91 @@ proptest! {
             }
             prop_assert!(node.terminal >= *count);
         }
+    }
+
+    // Prometheus text read back into a snapshot carries the same counters,
+    // gauges and histogram count/sum/buckets, so every windowed figure derived
+    // from it (advise top's) uses the same estimator as the JSON exposition
+    // and the SLO rules.  The one thing the text omits is a histogram's exact
+    // max: where the original's estimate is clamped to it, the read-back
+    // reports the midpoint of the same (top) bucket instead.
+    #[test]
+    fn prometheus_text_round_trips_through_snapshots(
+        counters in proptest::collection::vec(0u64..(1 << 62), 0..6),
+        gauges in proptest::collection::vec(-1e12f64..1e12, 0..6),
+        histograms in proptest::collection::vec(
+            proptest::collection::vec(0u64..10_000_000, 0..60), 0..5),
+        q in 0.0f64..1.0,
+    ) {
+        let mut values = BTreeMap::new();
+        for (i, &n) in counters.iter().enumerate() {
+            values.insert(format!("rt.counter.{i}"), SnapshotValue::Counter(n));
+        }
+        for (i, &v) in gauges.iter().enumerate() {
+            values.insert(format!("rt.gauge.{i}"), SnapshotValue::Gauge(v));
+        }
+        for (i, samples) in histograms.iter().enumerate() {
+            let h = Histogram::new();
+            for &v in samples {
+                h.record(v);
+            }
+            values.insert(format!("rt.hist.{i}"), SnapshotValue::Histogram(h.snapshot()));
+        }
+        let original = RegistrySnapshot { values };
+        let back = RegistrySnapshot::from_prometheus(&original.to_prometheus());
+        prop_assert_eq!(back.values.len(), original.values.len());
+        for (name, value) in &original.values {
+            let read = back.values.get(&tcp_obs::prometheus_name(name));
+            match (value, read) {
+                (SnapshotValue::Counter(a), Some(SnapshotValue::Counter(b))) => prop_assert_eq!(a, b),
+                (SnapshotValue::Gauge(a), Some(SnapshotValue::Gauge(b))) => prop_assert_eq!(a, b),
+                (SnapshotValue::Histogram(a), Some(SnapshotValue::Histogram(b))) => {
+                    prop_assert_eq!((a.count, a.sum), (b.count, b.sum));
+                    prop_assert_eq!(a.cumulative_buckets(), b.cumulative_buckets());
+                    for q in [q, 0.0, 0.25, 0.5, 0.9, 0.99, 0.999] {
+                        let (want, got) = (a.quantile(q), b.quantile(q));
+                        if want != got {
+                            // Only the top bucket's max clamp may differ.
+                            let buckets = a.cumulative_buckets();
+                            let top = buckets[buckets.len() - 1].0 as f64;
+                            let floor = buckets.len().checked_sub(2).map_or(0.0, |i| buckets[i].0 as f64);
+                            prop_assert!(want == a.max as f64, "q={} {} vs {}", q, want, got);
+                            prop_assert!(floor <= want && want < got && got < top, "q={} {} vs {}", q, want, got);
+                        }
+                    }
+                }
+                _ => prop_assert!(false, "{} did not read back as the same kind", name),
+            }
+        }
+    }
+
+    // A truncated or garbled exposition (a hostile or broken server's text)
+    // decodes without panicking: random cuts and byte substitutions drawn from
+    // the format's own punctuation.
+    #[test]
+    fn garbled_prometheus_text_never_panics(
+        samples in proptest::collection::vec(0u64..10_000_000, 1..40),
+        edits in proptest::collection::vec(0u64..(1 << 32), 1..12),
+        cut in 0.0f64..1.0,
+    ) {
+        let h = Histogram::new();
+        for &v in &samples {
+            h.record(v);
+        }
+        let mut values = BTreeMap::new();
+        values.insert("g.latency".to_string(), SnapshotValue::Histogram(h.snapshot()));
+        values.insert("g.served".to_string(), SnapshotValue::Counter(samples.len() as u64));
+        values.insert("g.depth".to_string(), SnapshotValue::Gauge(cut));
+        let mut bytes = RegistrySnapshot { values }.to_prometheus().into_bytes();
+        const JUNK: &[u8] = b" {}\"=\n#+-.0123456789eEInfNa_x";
+        for &edit in &edits {
+            let at = (edit >> 8) as usize % bytes.len();
+            bytes[at] = JUNK[(edit & 0xff) as usize % JUNK.len()];
+        }
+        bytes.truncate((cut * bytes.len() as f64) as usize);
+        let text = String::from_utf8(bytes).expect("ASCII stays UTF-8");
+        let snap = RegistrySnapshot::from_prometheus(&text);
+        let merged = snap.merged_histogram(&["g_latency"]);
+        prop_assert!(merged.quantile(0.5) >= 0.0 && merged.quantile(0.99) >= 0.0);
     }
 }

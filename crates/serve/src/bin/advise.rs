@@ -611,6 +611,11 @@ fn cmd_serve_bench(argv: &[String]) -> Result<(), String> {
     if let Some(hz) = profile_hz {
         tcp_obs::profile::arm(hz);
     }
+    let advisor_latency = || {
+        tcp_obs::Registry::global()
+            .snapshot()
+            .merged_histogram(&tcp_advisor::LATENCY_HISTOGRAMS)
+    };
     let mut baseline: Option<f64> = None;
     let mut summary = format!(
         "{{\"bench\":\"serve-bench\",\"clients\":{clients},\"requests\":{requests},\"results\":["
@@ -620,10 +625,10 @@ fn cmd_serve_bench(argv: &[String]) -> Result<(), String> {
         // land in this process's global registry; a *fresh* before/after snapshot
         // delta per worker count isolates just this run's samples — reusing one
         // baseline across iterations would fold earlier runs into later quantiles.
-        let before = advisor_latency_snapshot();
+        let before = advisor_latency();
         let alloc_before = tcp_obs::profile::alloc_totals();
         let report = loopback_bench(&pack_json, &corpus, workers, clients)?;
-        let delta = advisor_latency_snapshot().delta_since(&before);
+        let delta = advisor_latency().delta_since(&before);
         let alloc_after = tcp_obs::profile::alloc_totals();
         let ops = (report.requests as f64).max(1.0);
         let allocs_per_op = (alloc_after.allocs - alloc_before.allocs) as f64 / ops;
@@ -674,24 +679,6 @@ fn cmd_serve_bench(argv: &[String]) -> Result<(), String> {
     // One line of JSON for BENCH_*.json trajectory tracking.
     println!("{summary}");
     Ok(())
-}
-
-/// The advisor's four per-kind latency histograms from the global registry, merged
-/// into one snapshot (empty for any not yet registered).
-fn advisor_latency_snapshot() -> tcp_obs::HistogramSnapshot {
-    let mut merged = tcp_obs::HistogramSnapshot::empty();
-    for kind in [
-        "should_reuse",
-        "checkpoint_plan",
-        "expected_cost_makespan",
-        "best_policy",
-    ] {
-        let name = format!("advisor.latency.{kind}");
-        if let Some(snapshot) = tcp_obs::Registry::global().histogram_snapshot(&name) {
-            merged.merge(&snapshot);
-        }
-    }
-    merged
 }
 
 fn percentile(sorted: &[f64], p: f64) -> f64 {

@@ -380,8 +380,6 @@ fn accept_loop(listener: TcpListener, shared: &Shared) {
     shared.queue_cv.notify_all();
 }
 
-/// Refuses a connection with one typed overload line (best effort — the client may
-/// already be gone, which is fine).
 /// Serializes one reply line; a serializer failure (impossible for these line
 /// types) degrades to a well-formed error line instead of aborting the worker.
 fn render_line<T: serde::Serialize>(value: &T) -> String {
@@ -389,6 +387,8 @@ fn render_line<T: serde::Serialize>(value: &T) -> String {
         .unwrap_or_else(|_| "{\"error\":\"internal: response serialization failed\"}".to_string())
 }
 
+/// Refuses a connection with one typed overload line (best effort — the client may
+/// already be gone, which is fine).
 fn refuse(stream: TcpStream, error: String) {
     let line = render_line(&OverloadLine {
         error,

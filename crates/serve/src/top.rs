@@ -7,20 +7,21 @@
 //! over the refresh interval — rather than process-lifetime aggregates, then
 //! repaints the terminal with plain ANSI escapes (no TTY crates).
 //!
-//! Latency quantiles are rebuilt client-side from the Prometheus exposition: each
-//! `advisor_latency_*` family's cumulative `_bucket{le="..."}` series is
-//! de-cumulated, merged across the four request-kind families, and differenced
-//! between polls; a nearest-rank walk over the merged delta buckets yields the
-//! interval's quantiles (reported at the bucket's `le` upper bound, so the figure
-//! is conservative).
+//! Latency quantiles are rebuilt client-side from the Prometheus exposition:
+//! [`tcp_obs::RegistrySnapshot::from_prometheus`] reads it back into a
+//! snapshot, the four per-kind advisor latency histograms are merged, and the
+//! window is the merged histogram's `delta_since` the previous poll.  The p50
+//! and p99 are therefore the same bucket-midpoint estimate (within 6.25 %) that
+//! `!metrics` and the SLO engine's `quantile` rules report.
 //!
 //! `--once` mode takes exactly two samples one interval apart and emits a single
 //! sorted-key JSON line ([`snapshot_json`]) for scripts and CI instead of drawing.
 
 use crate::client::run_client;
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
+use tcp_advisor::serve::render_json_str;
+use tcp_obs::{HistogramSnapshot, RegistrySnapshot};
 
 /// Options for [`run_top`].
 #[derive(Debug, Clone)]
@@ -64,7 +65,7 @@ pub struct RuleRow {
     pub threshold: f64,
 }
 
-/// One polled sample: the scalar metrics, merged latency buckets, and health
+/// One polled sample: the scalar metrics, merged latency histogram, and health
 /// state the dashboard windows between two of these.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct TopSample {
@@ -76,9 +77,8 @@ pub struct TopSample {
     pub queue_depth: f64,
     /// `serve_inflight` gauge.
     pub inflight: f64,
-    /// Non-cumulative bucket counts (`le` upper bound → samples), merged across
-    /// the four `advisor_latency_*` families.
-    pub latency_buckets: BTreeMap<u64, u64>,
+    /// The four per-kind advisor latency histograms, merged.
+    pub latency: HistogramSnapshot,
     /// `!health` verdict (`healthy` / `degraded` / `unhealthy`).
     pub verdict: String,
     /// Per-rule states from `!health`.
@@ -107,80 +107,6 @@ impl TopSample {
     }
 }
 
-/// Extracts scalars and merged non-cumulative latency buckets from a Prometheus
-/// text exposition.
-///
-/// Scalar samples (`name value`) land in the returned map as-is.  For every
-/// `advisor_latency_*` histogram family, the cumulative `_bucket{le="..."}`
-/// series is de-cumulated (families are contiguous in the exposition and their
-/// buckets ascend, so a running per-family subtraction recovers per-bucket
-/// counts) and merged into one `le → count` map across families.
-pub fn parse_prometheus(text: &str) -> (BTreeMap<String, f64>, BTreeMap<u64, u64>) {
-    let mut scalars = BTreeMap::new();
-    let mut buckets: BTreeMap<u64, u64> = BTreeMap::new();
-    let mut family = "";
-    let mut last_cumulative = 0u64;
-    for line in text.lines() {
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        if let Some((name_and_label, value)) = line.rsplit_once(' ') {
-            if let Some((name, label)) = name_and_label.split_once("_bucket{le=\"") {
-                if name != family {
-                    family = name;
-                    last_cumulative = 0;
-                }
-                if !name.starts_with("advisor_latency_") {
-                    continue;
-                }
-                let le = label.trim_end_matches("\"}");
-                let (Ok(cumulative), Ok(le)) = (value.parse::<u64>(), le.parse::<u64>()) else {
-                    continue; // the +Inf bucket; the last finite bucket covered it
-                };
-                *buckets.entry(le).or_insert(0) += cumulative.saturating_sub(last_cumulative);
-                last_cumulative = cumulative;
-            } else if let Ok(v) = value.parse::<f64>() {
-                scalars.insert(name_and_label.to_string(), v);
-            }
-        }
-    }
-    (scalars, buckets)
-}
-
-/// Per-bucket difference `current - earlier` (saturating; keys union'd).
-pub fn bucket_delta(
-    current: &BTreeMap<u64, u64>,
-    earlier: &BTreeMap<u64, u64>,
-) -> BTreeMap<u64, u64> {
-    let mut delta = BTreeMap::new();
-    for (&le, &count) in current {
-        let before = earlier.get(&le).copied().unwrap_or(0);
-        let d = count.saturating_sub(before);
-        if d > 0 {
-            delta.insert(le, d);
-        }
-    }
-    delta
-}
-
-/// Nearest-rank quantile over non-cumulative `le → count` buckets, reported at
-/// the holding bucket's `le` upper bound (0 when empty).
-pub fn quantile_from_buckets(buckets: &BTreeMap<u64, u64>, q: f64) -> f64 {
-    let total: u64 = buckets.values().sum();
-    if total == 0 {
-        return 0.0;
-    }
-    let target = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).clamp(1, total);
-    let mut cumulative = 0u64;
-    for (&le, &count) in buckets {
-        cumulative += count;
-        if cumulative >= target {
-            return le as f64;
-        }
-    }
-    0.0
-}
-
 /// Parses one `!metrics prom` response line and one `!health` response line into
 /// a [`TopSample`].
 pub fn parse_sample(metrics_line: &str, health_line: &str) -> Result<TopSample, String> {
@@ -190,8 +116,8 @@ pub fn parse_sample(metrics_line: &str, health_line: &str) -> Result<TopSample, 
         .get("text")
         .and_then(|v| v.as_str())
         .ok_or("!metrics prom reply has no `text`")?;
-    let (scalars, latency_buckets) = parse_prometheus(text);
-    let scalar = |name: &str| scalars.get(name).copied().unwrap_or(0.0);
+    let metrics = RegistrySnapshot::from_prometheus(text);
+    let latency_names = tcp_advisor::LATENCY_HISTOGRAMS.map(tcp_obs::prometheus_name);
 
     let health_value = serde_json::parse_value(health_line.trim())
         .map_err(|e| format!("bad !health line: {e}"))?;
@@ -238,11 +164,11 @@ pub fn parse_sample(metrics_line: &str, health_line: &str) -> Result<TopSample, 
         .collect();
 
     Ok(TopSample {
-        served: scalar("serve_requests_served") as u64,
-        shed: scalar("serve_requests_shed") as u64,
-        queue_depth: scalar("serve_queue_depth"),
-        inflight: scalar("serve_inflight"),
-        latency_buckets,
+        served: metrics.counter_sum(&["serve_requests_served"]),
+        shed: metrics.counter_sum(&["serve_requests_shed"]),
+        queue_depth: metrics.gauge_value("serve_queue_depth"),
+        inflight: metrics.gauge_value("serve_inflight"),
+        latency: metrics.merged_histogram(&latency_names),
         verdict: str_of(health.get("verdict")),
         rules,
         pack_name: str_of(pack.and_then(|p| p.get("name"))),
@@ -306,7 +232,7 @@ pub fn window_between(prev: &TopSample, curr: &TopSample, elapsed_secs: f64) -> 
     let served = curr.served.saturating_sub(prev.served);
     let shed = curr.shed.saturating_sub(prev.shed);
     let answered = served + shed;
-    let delta = bucket_delta(&curr.latency_buckets, &prev.latency_buckets);
+    let latency = curr.latency.delta_since(&prev.latency);
     Window {
         qps: tcp_obs::rate_per_sec(served, elapsed_secs),
         shed_pct: if answered == 0 {
@@ -314,25 +240,26 @@ pub fn window_between(prev: &TopSample, curr: &TopSample, elapsed_secs: f64) -> 
         } else {
             100.0 * shed as f64 / answered as f64
         },
-        p50_us: quantile_from_buckets(&delta, 0.50) / 1e3,
-        p99_us: quantile_from_buckets(&delta, 0.99) / 1e3,
+        p50_us: latency.quantile(0.50) / 1e3,
+        p99_us: latency.quantile(0.99) / 1e3,
     }
 }
 
 /// The `--once` machine-readable snapshot: one line of sorted-key JSON with the
-/// windowed figures and the current verdict.
+/// windowed figures and the current verdict.  The pack name and verdict come
+/// from the server, so both are written as escaped JSON strings.
 pub fn snapshot_json(curr: &TopSample, window: &Window) -> String {
     format!(
         "{{\"alerts_firing\":{},\"p50_us\":{:.3},\"p99_us\":{:.3},\"pack\":{},\
-         \"profile_samples\":{},\"qps\":{:.1},\"shed_pct\":{:.2},\"verdict\":\"{}\"}}",
+         \"profile_samples\":{},\"qps\":{:.1},\"shed_pct\":{:.2},\"verdict\":{}}}",
         curr.alerts_firing(),
         window.p50_us,
         window.p99_us,
-        serde_json::to_string(&curr.pack_name).expect("strings serialize"),
+        render_json_str(&curr.pack_name),
         curr.wall_samples,
         window.qps,
         window.shed_pct,
-        curr.verdict,
+        render_json_str(&curr.verdict),
     )
 }
 
@@ -500,39 +427,19 @@ advisor_latency_should_reuse_sum 9000
 advisor_latency_should_reuse_count 5
 ";
 
-    #[test]
-    fn parses_scalars_and_decumulates_merged_buckets() {
-        let (scalars, buckets) = parse_prometheus(PROM);
-        assert_eq!(scalars.get("serve_requests_served"), Some(&1000.0));
-        assert_eq!(scalars.get("serve_requests_shed"), Some(&50.0));
-        assert_eq!(scalars.get("serve_queue_depth"), Some(&3.0));
-        // best_policy: 10 at le=1000, 20 at le=2000 (de-cumulated); should_reuse
-        // adds 5 more at le=2000.  The `+Inf` lines don't add phantom buckets.
-        assert_eq!(buckets.get(&1000), Some(&10));
-        assert_eq!(buckets.get(&2000), Some(&25));
-        assert_eq!(buckets.len(), 2);
-        // _sum/_count scalars still parse as scalars.
-        assert_eq!(
-            scalars.get("advisor_latency_best_policy_count"),
-            Some(&30.0)
-        );
-    }
-
-    #[test]
-    fn quantile_walk_reports_bucket_upper_bounds() {
-        let buckets: BTreeMap<u64, u64> = [(1000, 10), (2000, 25)].into_iter().collect();
-        assert_eq!(quantile_from_buckets(&buckets, 0.01), 1000.0);
-        // rank ceil(0.5*35)=18 > 10 → second bucket.
-        assert_eq!(quantile_from_buckets(&buckets, 0.50), 2000.0);
-        assert_eq!(quantile_from_buckets(&buckets, 1.0), 2000.0);
-        assert_eq!(quantile_from_buckets(&BTreeMap::new(), 0.5), 0.0);
-    }
-
-    fn sample(served: u64, shed: u64, buckets: &[(u64, u64)]) -> TopSample {
+    /// A sample whose merged latency histogram holds `count` samples of each
+    /// `(value_ns, count)` pair.
+    fn sample(served: u64, shed: u64, latencies: &[(u64, u64)]) -> TopSample {
+        let latency = tcp_obs::Histogram::new();
+        for &(value, count) in latencies {
+            for _ in 0..count {
+                latency.record(value);
+            }
+        }
         TopSample {
             served,
             shed,
-            latency_buckets: buckets.iter().copied().collect(),
+            latency: latency.snapshot(),
             verdict: "healthy".to_string(),
             pack_name: "tiny-pack".to_string(),
             ..TopSample::default()
@@ -546,10 +453,11 @@ advisor_latency_should_reuse_count 5
         let window = window_between(&prev, &curr, 10.0);
         assert_eq!(window.qps, 50.0);
         assert_eq!(window.shed_pct, 50.0);
-        // All interval samples sit in the 8000ns bucket: the old 1000ns mass
-        // cancels out of the delta entirely.
-        assert_eq!(window.p50_us, 8.0);
-        assert_eq!(window.p99_us, 8.0);
+        // All interval samples sit in the 8000ns bucket, [7680, 8192): the old
+        // 1000ns mass cancels out of the delta entirely, and the window reports
+        // the bucket midpoint, as `!metrics` and the SLO rules do.
+        assert_eq!(window.p50_us, 7.936);
+        assert_eq!(window.p99_us, 7.936);
     }
 
     #[test]
@@ -569,6 +477,33 @@ advisor_latency_should_reuse_count 5
              \"shed_pct\":1.23,\"verdict\":\"healthy\"}"
         );
         let value = serde_json::parse_value(&line).unwrap();
+        let keys: Vec<&str> = value
+            .as_map()
+            .unwrap()
+            .iter()
+            .map(|(k, _)| k.as_str())
+            .collect();
+        let mut sorted = keys.clone();
+        sorted.sort_unstable();
+        assert_eq!(keys, sorted);
+    }
+
+    #[test]
+    fn snapshot_json_escapes_server_supplied_strings() {
+        let mut curr = sample(10, 0, &[]);
+        curr.verdict = "he said \"ok\" \\ then left".to_string();
+        curr.pack_name = "odd\"pack\\".to_string();
+        let window = window_between(&curr, &curr, 1.0);
+        let line = snapshot_json(&curr, &window);
+        let value = serde_json::parse_value(&line).expect("valid JSON");
+        assert_eq!(
+            value.get("verdict").and_then(|v| v.as_str()),
+            Some(curr.verdict.as_str())
+        );
+        assert_eq!(
+            value.get("pack").and_then(|v| v.as_str()),
+            Some(curr.pack_name.as_str())
+        );
         let keys: Vec<&str> = value
             .as_map()
             .unwrap()
@@ -601,6 +536,16 @@ advisor_latency_should_reuse_count 5
         assert_eq!(sample.alerts_firing(), 1);
         assert_eq!(sample.rules[0].name, "shed-ratio");
         assert_eq!(sample.rules[0].threshold, 0.05);
+        assert_eq!(sample.queue_depth, 3.0);
+        assert_eq!(sample.inflight, 2.0);
+        // The four latency families merge into one histogram: 30 best-policy
+        // plus 5 should-reuse samples, bucketed as the exposition says.
+        assert_eq!(sample.latency.count, 35);
+        assert_eq!(sample.latency.sum, 54_000);
+        assert_eq!(
+            sample.latency.cumulative_buckets().last().map(|&(_, n)| n),
+            Some(35)
+        );
         // A frame renders without panicking and carries the verdict color.
         let frame = render_frame(
             "127.0.0.1:1",
