@@ -38,7 +38,8 @@ pub enum RequestKind {
 }
 
 /// The advisor's per-kind latency histograms in the metric registry, in
-/// request-kind order; `serve-bench` and `advise top` merge all four.
+/// request-kind order; `advise top` and the latency rule of
+/// `examples/serve/slo.toml` merge all four.
 pub const LATENCY_HISTOGRAMS: [&str; 4] = [
     "advisor.latency.should_reuse",
     "advisor.latency.checkpoint_plan",

@@ -102,10 +102,11 @@ fn pack_age_secs() -> f64 {
     (tcp_obs::log::now_monotonic_secs() - loaded_at).max(0.0)
 }
 
-/// Serializes one NDJSON reply line.  A serializer failure is impossible for the
-/// line types used here, but a serving worker must never abort on a response
-/// path, so it degrades to a well-formed error line instead of panicking.
-fn render_line<T: Serialize>(value: &T) -> String {
+/// Serializes one NDJSON reply line (here and in the TCP server's overload and
+/// shutdown lines).  A serializer failure is impossible for the line types used,
+/// but a serving worker must never abort on a response path, so it degrades to a
+/// well-formed error line instead of panicking.
+pub fn render_line<T: Serialize>(value: &T) -> String {
     serde_json::to_string(value)
         .unwrap_or_else(|_| "{\"error\":\"internal: response serialization failed\"}".to_string())
 }
@@ -135,21 +136,6 @@ pub fn respond_line(advisor: &MultiAdvisor, line: &str) -> String {
             Err(e) => emit_error(e.to_string(), request.id),
         },
     }
-}
-
-/// Serves a whole NDJSON request stream over `threads` worker threads (`0` = all CPUs).
-///
-/// Blank lines are skipped; every other input line produces exactly one output line, in
-/// input order.  The returned string is newline-terminated unless empty.  Control lines
-/// are *not* interpreted here — use [`serve_session`] for a reloadable stream.
-pub fn serve_ndjson(advisor: &MultiAdvisor, input: &str, threads: usize) -> String {
-    let lines: Vec<&str> = input.lines().filter(|l| !l.trim().is_empty()).collect();
-    let responses = run_tasks(lines.len(), threads, |i| respond_line(advisor, lines[i]));
-    let mut out = responses.join("\n");
-    if !out.is_empty() {
-        out.push('\n');
-    }
-    out
 }
 
 /// The front-end-agnostic serving state machine: lines in, lines out.
@@ -545,7 +531,7 @@ mod tests {
 not json at all
 {"kind": "best-policy", "regime": "exp8", "id": 4}
 "#;
-        let out = serve_ndjson(&a, input, 1);
+        let out = serve_session(&AdvisorHandle::new(a), input, 1);
         let lines: Vec<&str> = out.lines().collect();
         assert_eq!(lines.len(), 4);
         assert!(lines[0].contains("\"id\":1"), "{}", lines[0]);
@@ -561,12 +547,12 @@ not json at all
 
     #[test]
     fn output_is_byte_identical_for_any_thread_count() {
-        let a = advisor();
-        let requests = generate_requests(a.pooled().pack(), 500, 7);
+        let handle = AdvisorHandle::new(advisor());
+        let requests = generate_requests(handle.current().pooled().pack(), 500, 7);
         let input = requests_to_ndjson(&requests);
-        let one = serve_ndjson(&a, &input, 1);
-        let four = serve_ndjson(&a, &input, 4);
-        let eight = serve_ndjson(&a, &input, 8);
+        let one = serve_session(&handle, &input, 1);
+        let four = serve_session(&handle, &input, 4);
+        let eight = serve_session(&handle, &input, 8);
         assert_eq!(one, four);
         assert_eq!(one, eight);
         assert_eq!(one.lines().count(), 500);
@@ -1017,14 +1003,14 @@ dp_step_minutes = 30.0
         assert!(requests.iter().any(|r| r.cell.is_some()));
         // Every generated request is answerable by the router, and serving them is
         // byte-identical across thread counts (the determinism smoke's contract).
-        let router = MultiAdvisor::from_multi(multi).unwrap();
+        let handle = AdvisorHandle::new(MultiAdvisor::from_multi(multi).unwrap());
         let input = requests_to_ndjson(&requests);
-        let one = serve_ndjson(&router, &input, 1);
-        let four = serve_ndjson(&router, &input, 4);
+        let one = serve_session(&handle, &input, 1);
+        let four = serve_session(&handle, &input, 4);
         assert_eq!(one, four);
         assert!(!one.contains("\"error\""), "all requests answerable");
         // Per-family counters cover more than one family (per-cell winners differ).
-        assert!(router.family_stats().served.len() > 1);
+        assert!(handle.current().family_stats().served.len() > 1);
     }
 
     #[test]
@@ -1044,14 +1030,5 @@ dp_step_minutes = 30.0
         }
         assert_eq!(whole, sliced);
         assert_eq!(session.stats().total(), 120);
-    }
-
-    #[test]
-    fn session_and_plain_serving_agree_without_control_lines() {
-        let requests = generate_requests(&pack(), 200, 17);
-        let input = requests_to_ndjson(&requests);
-        let plain = serve_ndjson(&advisor(), &input, 2);
-        let session = serve_session(&AdvisorHandle::new(advisor()), &input, 2);
-        assert_eq!(plain, session);
     }
 }

@@ -6,8 +6,8 @@
 use proptest::prelude::*;
 use std::sync::OnceLock;
 use tcp_advisor::{
-    generate_requests, requests_to_ndjson, serve_ndjson, AdviceRequest, Advisor, Decision,
-    ModelPack, PackBuilder,
+    generate_requests, requests_to_ndjson, serve_session, AdviceRequest, Advisor, AdvisorHandle,
+    Decision, ModelPack, PackBuilder,
 };
 use tcp_core::analysis::expected_makespan_from_age;
 use tcp_core::BathtubModel;
@@ -295,11 +295,11 @@ fn shipped_v2_example_pack_round_trips() {
 
 #[test]
 fn serving_10k_requests_is_thread_invariant() {
-    let router = tcp_advisor::MultiAdvisor::from_pack(pack().clone()).unwrap();
+    let handle = AdvisorHandle::new(tcp_advisor::MultiAdvisor::from_pack(pack().clone()).unwrap());
     let requests = generate_requests(pack(), 10_000, 2020);
     let input = requests_to_ndjson(&requests);
-    let one = serve_ndjson(&router, &input, 1);
-    let four = serve_ndjson(&router, &input, 4);
+    let one = serve_session(&handle, &input, 1);
+    let four = serve_session(&handle, &input, 4);
     assert_eq!(one, four, "NDJSON output must be byte-identical");
     assert_eq!(one.lines().count(), 10_000);
 }

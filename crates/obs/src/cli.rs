@@ -13,6 +13,9 @@
 //! writers, trace dumps, and profile dumps flush on the error path too.  The
 //! `process-exit` lint rule enforces the "no `process::exit` outside `main`"
 //! half of this contract statically.
+//!
+//! The flag helpers [`next_value`] and [`parse`] keep the flag-error wording the
+//! same across the hand-rolled argument loops of `advise`, `calibrate` and `trace`.
 
 use std::fmt::Display;
 use std::process::ExitCode;
@@ -37,6 +40,19 @@ pub fn exit_outcome(outcome: Result<(), String>) -> ExitCode {
 pub fn usage_error(message: impl Display) -> ExitCode {
     eprintln!("{message}");
     ExitCode::from(EXIT_USAGE)
+}
+
+/// Takes the value following `flag` from an argument iterator.
+pub fn next_value<'a>(
+    it: &mut std::slice::Iter<'a, String>,
+    flag: &str,
+) -> Result<&'a String, String> {
+    it.next().ok_or_else(|| format!("{flag} needs a value"))
+}
+
+/// Parses a flag value, naming the flag and the rejected text on failure.
+pub fn parse<T: std::str::FromStr>(v: &str, flag: &str) -> Result<T, String> {
+    v.parse().map_err(|_| format!("invalid {flag} value `{v}`"))
 }
 
 #[cfg(test)]

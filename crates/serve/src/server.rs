@@ -6,9 +6,9 @@
 //! the response bytes for a request stream are identical to batch-mode `advise serve`.
 //!
 //! Inside a connection, lines are read into adaptive batches (as many lines as the
-//! read buffer already holds, up to `max_batch`) and answered through the session,
-//! which fans request runs over the workspace's work-stealing driver when
-//! `batch_threads > 1`.  Admission control is a global in-flight request budget: a
+//! read buffer already holds, up to `max_batch`) and answered through the session on
+//! the connection's own worker thread, so serving scales with connection workers.
+//! Admission control is a global in-flight request budget: a
 //! request line that cannot get a permit is answered *in place* with a typed
 //! 503-style [`OverloadLine`] — responses are never silently dropped, and output
 //! order always matches input order.
@@ -30,6 +30,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
+use tcp_advisor::serve::render_line;
 use tcp_advisor::{AdvisorHandle, MultiAdvisor, Session};
 use tcp_obs::{Counter, Gauge};
 
@@ -50,9 +51,6 @@ pub struct ServeOptions {
     /// `max_inflight / workers` (the defaults are) so well-behaved connections never
     /// shed; a burst larger than the remaining budget gets typed overload lines.
     pub max_batch: usize,
-    /// Worker threads the session fans each request batch over (`1` keeps batches
-    /// single-threaded so scaling comes from the connection workers).
-    pub batch_threads: usize,
     /// Most connections allowed to wait for a worker; beyond it new connections are
     /// refused with a typed overload line instead of queueing unboundedly.
     pub max_pending: usize,
@@ -65,7 +63,6 @@ impl Default for ServeOptions {
             workers: 4,
             max_inflight: 4096,
             max_batch: 256,
-            batch_threads: 1,
             max_pending: 1024,
         }
     }
@@ -380,13 +377,6 @@ fn accept_loop(listener: TcpListener, shared: &Shared) {
     shared.queue_cv.notify_all();
 }
 
-/// Serializes one reply line; a serializer failure (impossible for these line
-/// types) degrades to a well-formed error line instead of aborting the worker.
-fn render_line<T: serde::Serialize>(value: &T) -> String {
-    serde_json::to_string(value)
-        .unwrap_or_else(|_| "{\"error\":\"internal: response serialization failed\"}".to_string())
-}
-
 /// Refuses a connection with one typed overload line (best effort — the client may
 /// already be gone, which is fine).
 fn refuse(stream: TcpStream, error: String) {
@@ -496,7 +486,7 @@ fn serve_connection(connection: QueuedConnection, shared: &Shared) {
     };
     let mut reader = BufReader::with_capacity(1 << 16, read_half);
     let mut writer = BufWriter::with_capacity(1 << 16, stream);
-    let mut session = Session::new(&shared.handle, shared.options.batch_threads);
+    let mut session = Session::new(&shared.handle, 1);
     let batch_cap = shared.options.max_batch;
     let mut pending: Vec<Slot> = Vec::new();
     // Bytes of a line whose terminator has not arrived yet.  Lines are assembled at

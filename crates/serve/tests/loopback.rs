@@ -9,7 +9,7 @@ use tcp_advisor::{
     generate_requests, requests_to_ndjson, serve_session, AdvisorHandle, MultiAdvisor, PackBuilder,
 };
 use tcp_scenarios::SweepSpec;
-use tcp_serve::{loopback_bench, run_client, ServeOptions, Server};
+use tcp_serve::{run_client, ServeOptions, Server};
 
 /// Builds a small single-regime pack as JSON.
 fn tiny_pack_json(name: &str, regime: &str, mean_hours: f64) -> String {
@@ -65,26 +65,126 @@ fn concurrent_clients_get_byte_identical_responses() {
     let expected = serve_session(&AdvisorHandle::new(advisor(&json)), &corpus, 1);
     assert_eq!(expected.lines().count(), 505);
 
-    let server = start(&json, ServeOptions::default());
-    let addr = server.local_addr().to_string();
-    let outputs: Vec<String> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..4)
-            .map(|_| {
-                let addr = addr.clone();
-                let corpus = corpus.clone();
-                scope.spawn(move || run_client(&addr, &corpus).unwrap())
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-    for output in &outputs {
-        assert_eq!(output, &expected, "socket bytes must match batch mode");
+    // A single worker serves the four connections one after another; four serve
+    // them side by side.  Either way every line is answered, in batch-mode bytes.
+    for workers in [1, 4] {
+        let server = start(
+            &json,
+            ServeOptions {
+                workers,
+                ..ServeOptions::default()
+            },
+        );
+        let addr = server.local_addr().to_string();
+        let outputs: Vec<String> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..4)
+                .map(|_| {
+                    let addr = addr.clone();
+                    let corpus = corpus.clone();
+                    scope.spawn(move || run_client(&addr, &corpus).unwrap())
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for output in &outputs {
+            assert_eq!(
+                output, &expected,
+                "socket bytes must match batch mode (workers {workers})"
+            );
+        }
+        server.shutdown();
+        let report = server.join();
+        assert_eq!(report.connections, 4);
+        assert_eq!(report.requests, 4 * 505);
+        assert_eq!(report.overload_responses, 0);
     }
+}
+
+/// Cuts `bytes` into 1–7-byte pieces whose lengths come from an LCG seeded by `state`.
+fn seeded_pieces<'a>(bytes: &'a [u8], state: &mut u64) -> Vec<&'a [u8]> {
+    let mut pieces = Vec::new();
+    let mut rest = bytes;
+    while !rest.is_empty() {
+        *state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        let (piece, tail) = rest.split_at((1 + (*state >> 33) as usize % 7).min(rest.len()));
+        pieces.push(piece);
+        rest = tail;
+    }
+    pieces
+}
+
+#[test]
+fn socket_framing_matches_file_mode_for_awkward_bytes() {
+    let json = tiny_pack_json("framing", "exp8", 8.0);
+    // One document covering every framing edge the socket reader must agree with
+    // `str::lines` on: CRLF endings, blank and whitespace-only lines, a raw 0xFF
+    // byte (invalid UTF-8), multi-byte characters, two control lines that answer
+    // with deterministic errors, and a final line with no terminator.  The line
+    // that starts with `é` echoes its first byte in the parse error, so a reader
+    // that mangled a character split across reads would change the bytes.
+    let mut doc: Vec<u8> = Vec::new();
+    doc.extend_from_slice(b"{\"kind\":\"best-policy\",\"regime\":\"exp8\",\"id\":1}\r\n");
+    doc.extend_from_slice(b"\r\n   \t \n\n");
+    doc.extend_from_slice(
+        b"{\"kind\":\"should-reuse\",\"regime\":\"exp8\",\"vm_age\":2.0,\"job_len\":1.0,\"id\":2}\n",
+    );
+    doc.extend_from_slice(b"{\"kind\":\"best-policy\",\"regime\":\"exp\xFF8\",\"id\":3}\r\n");
+    doc.extend_from_slice("é{\"kind\":\"best-policy\",\"id\":4}\n".as_bytes());
+    doc.extend_from_slice("{\"kind\":\"best-policy\",\"regime\":\"café\",\"id\":5}\n".as_bytes());
+    doc.extend_from_slice(b"!bogus\r\n!reload /nonexistent\n");
+    doc.extend_from_slice(b"  {\"kind\":\"best-policy\",\"regime\":\"exp8\",\"id\":6}  \r\n");
+    doc.extend_from_slice(b"{\"kind\":\"best-pol");
+
+    let expected = serve_session(
+        &AdvisorHandle::new(advisor(&json)),
+        &String::from_utf8_lossy(&doc),
+        1,
+    );
+    assert_eq!(expected.lines().count(), 9, "{expected}");
+    assert!(
+        expected.contains('\u{FFFD}') && expected.contains("café"),
+        "{expected}"
+    );
+    // Responses that precede the `é` line's (`0xC3` is its first byte).
+    let before = expected
+        .lines()
+        .position(|line| line.contains("Some(195)"))
+        .expect("the `é` line echoes its first byte");
+
+    // Seeded 1–7-byte pieces, except that the newline before `é` and `é`'s first
+    // byte travel as one 2-byte write.  The client reads the responses up to that
+    // newline before sending `é`'s second byte, so the server has read the first
+    // byte on its own: the character is split across reads, not just writes.
+    let split = doc.windows(2).position(|w| w == b"\n\xC3").unwrap();
+    let mut state = 0x5EED_u64;
+    let head = seeded_pieces(&doc[..split], &mut state);
+    let tail = seeded_pieces(&doc[split + 2..], &mut state);
+
+    let server = start(&json, ServeOptions::default());
+    let stream = TcpStream::connect(server.local_addr()).unwrap();
+    stream.set_nodelay(true).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut writer = &stream;
+    let mut send = |pieces: &[&[u8]]| {
+        for piece in pieces {
+            writer.write_all(piece).unwrap();
+            writer.flush().unwrap();
+        }
+    };
+    send(&head);
+    send(&[&doc[split..split + 2]]);
+    let mut output = String::new();
+    for _ in 0..before {
+        reader.read_line(&mut output).unwrap();
+    }
+    send(&tail);
+    stream.shutdown(Shutdown::Write).unwrap();
+    std::io::Read::read_to_string(&mut reader, &mut output).unwrap();
+    assert_eq!(output, expected, "socket framing must match file mode");
     server.shutdown();
-    let report = server.join();
-    assert_eq!(report.connections, 4);
-    assert_eq!(report.requests, 4 * 505);
-    assert_eq!(report.overload_responses, 0);
+    server.join();
 }
 
 #[test]
@@ -277,16 +377,4 @@ fn shutdown_drains_even_with_an_active_streaming_connection() {
     let mut rest = String::new();
     use std::io::Read;
     let _ = reader.read_to_string(&mut rest);
-}
-
-#[test]
-fn loopback_bench_accounts_for_every_request() {
-    let json = tiny_pack_json("bench", "exp8", 8.0);
-    let corpus = requests_to_ndjson(&generate_requests(advisor(&json).pooled().pack(), 2000, 11));
-    for workers in [1usize, 2] {
-        let report = loopback_bench(&json, &corpus, workers, 4).unwrap();
-        assert_eq!(report.requests, 2000);
-        assert_eq!(report.workers, workers);
-        assert!(report.qps > 0.0);
-    }
 }

@@ -1,12 +1,14 @@
 //! The tracing determinism contract, asserted over a real socket: served bytes must
-//! be identical whether tracing is off, sampling everything, or slow-logging only,
-//! and across batch-thread counts — while the flight recorder captures the expected
-//! request-scoped span tree (connection → queue wait → batch flush → request →
-//! advisor lookup) and the `!trace` control line returns it as JSON.
+//! be identical whether tracing is off, sampling everything, or slow-logging only
+//! — while the flight recorder captures the expected request-scoped span tree
+//! (connection → queue wait → batch flush → request → advisor lookup) and the
+//! `!trace` control line returns it as JSON.  File mode's multi-threaded batches
+//! are covered too: there each request span is a trace root on a worker thread.
 //!
-//! Everything lives in one `#[test]` because `tcp_obs::trace::configure` is
-//! process-global: a sibling test serving traffic concurrently would race with the
-//! sampling-mode windows this test steps through.
+//! `tcp_obs::trace::configure` is process-global, so every test here holds
+//! [`TRACE_CONFIG`] for its whole run and leaves tracing off and the recorder
+//! empty: a sibling test serving traffic concurrently would race with the
+//! sampling-mode windows each test steps through.
 
 use tcp_advisor::{
     generate_requests, requests_to_ndjson, serve_session, AdvisorHandle, MultiAdvisor, PackBuilder,
@@ -41,14 +43,16 @@ dp_step_minutes = 30.0
     builder.build_from_spec(&spec).unwrap().to_json().unwrap()
 }
 
+/// Serializes the tests that reconfigure the process-global tracer.
+static TRACE_CONFIG: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 fn advisor(json: &str) -> MultiAdvisor {
     MultiAdvisor::from_json(json).unwrap()
 }
 
-fn serve_corpus(json: &str, corpus: &str, workers: usize, batch_threads: usize) -> String {
+fn serve_corpus(json: &str, corpus: &str, workers: usize) -> String {
     let options = ServeOptions {
         workers,
-        batch_threads,
         ..ServeOptions::default()
     };
     let server = Server::start(advisor(json), options).unwrap();
@@ -60,6 +64,7 @@ fn serve_corpus(json: &str, corpus: &str, workers: usize, batch_threads: usize) 
 
 #[test]
 fn tracing_stays_out_of_the_response_stream() {
+    let _config = TRACE_CONFIG.lock().unwrap_or_else(|e| e.into_inner());
     let json = tiny_pack_json();
     let corpus = requests_to_ndjson(&generate_requests(advisor(&json).pooled().pack(), 400, 17));
     let expected = serve_session(&AdvisorHandle::new(advisor(&json)), &corpus, 1);
@@ -67,64 +72,59 @@ fn tracing_stays_out_of_the_response_stream() {
     // --- Tracing unconfigured (the default): the span macros are inert and the
     // served bytes match batch mode exactly.
     assert!(!tcp_obs::trace::tracing_configured());
-    let baseline = serve_corpus(&json, &corpus, 4, 1);
+    let baseline = serve_corpus(&json, &corpus, 4);
     assert_eq!(baseline, expected, "untraced bytes must match batch");
     assert!(
         tcp_obs::trace::recent_spans().is_empty(),
         "unconfigured tracing must record nothing"
     );
 
-    // --- Sample everything: same bytes, across batch-thread counts, while the
-    // flight recorder fills with the end-to-end span tree.
+    // --- Sample everything: same bytes, while the flight recorder fills with the
+    // end-to-end span tree.
     tcp_obs::trace::configure(1, 0);
-    for batch_threads in [1, 4] {
-        tcp_obs::trace::clear();
-        let traced = serve_corpus(&json, &corpus, 4, batch_threads);
-        assert_eq!(
-            traced, expected,
-            "traced bytes must match batch (batch_threads {batch_threads})"
-        );
-        let spans = tcp_obs::trace::recent_spans();
-        let site_names: std::collections::BTreeSet<String> = spans
-            .iter()
-            .map(|record| tcp_obs::trace::site_name(record.site))
-            .collect();
-        for needle in [
-            "serve.connection",
-            "serve.queue.wait",
-            "serve.batch.flush",
-            "serve.request",
-        ] {
-            assert!(
-                site_names.contains(needle),
-                "missing span site `{needle}` (batch_threads {batch_threads}): {site_names:?}"
-            );
-        }
+    tcp_obs::trace::clear();
+    let traced = serve_corpus(&json, &corpus, 4);
+    assert_eq!(traced, expected, "traced bytes must match batch");
+    let spans = tcp_obs::trace::recent_spans();
+    let site_names: std::collections::BTreeSet<String> = spans
+        .iter()
+        .map(|record| tcp_obs::trace::site_name(record.site))
+        .collect();
+    for needle in [
+        "serve.connection",
+        "serve.queue.wait",
+        "serve.batch.flush",
+        "serve.request",
+    ] {
         assert!(
-            site_names
-                .iter()
-                .any(|name| name.starts_with("advisor.lookup.")),
-            "missing advisor lookup spans: {site_names:?}"
+            site_names.contains(needle),
+            "missing span site `{needle}`: {site_names:?}"
         );
-        // Every request span must belong to a trace and carry a real duration span id.
-        let requests = spans
+    }
+    assert!(
+        site_names
             .iter()
-            .filter(|record| tcp_obs::trace::site_name(record.site) == "serve.request")
-            .count();
-        assert!(requests >= 1, "at least one request span retained");
-        assert!(spans.iter().all(|record| record.trace_id != 0));
+            .any(|name| name.starts_with("advisor.lookup.")),
+        "missing advisor lookup spans: {site_names:?}"
+    );
+    // Every request span must belong to a trace and carry a real duration span id.
+    let requests = spans
+        .iter()
+        .filter(|record| tcp_obs::trace::site_name(record.site) == "serve.request")
+        .count();
+    assert!(requests >= 1, "at least one request span retained");
+    assert!(spans.iter().all(|record| record.trace_id != 0));
 
-        // The Chrome export of the same records is valid JSON with complete events.
-        let chrome = tcp_obs::trace::chrome_trace_json(&spans);
-        let value = serde_json::parse_value(&chrome).unwrap();
-        let events = value.get("traceEvents").expect("traceEvents array");
-        let events = events.as_seq().expect("traceEvents is an array");
-        assert_eq!(events.len(), spans.len());
-        for event in events {
-            assert_eq!(event.get("ph").and_then(|v| v.as_str()), Some("X"));
-            assert!(event.get("name").and_then(|v| v.as_str()).is_some());
-            assert!(event.get("dur").is_some() && event.get("ts").is_some());
-        }
+    // The Chrome export of the same records is valid JSON with complete events.
+    let chrome = tcp_obs::trace::chrome_trace_json(&spans);
+    let value = serde_json::parse_value(&chrome).unwrap();
+    let events = value.get("traceEvents").expect("traceEvents array");
+    let events = events.as_seq().expect("traceEvents is an array");
+    assert_eq!(events.len(), spans.len());
+    for event in events {
+        assert_eq!(event.get("ph").and_then(|v| v.as_str()), Some("X"));
+        assert!(event.get("name").and_then(|v| v.as_str()).is_some());
+        assert!(event.get("dur").is_some() && event.get("ts").is_some());
     }
 
     // --- The `!trace` control line returns the ring contents over the socket.
@@ -148,7 +148,7 @@ fn tracing_stays_out_of_the_response_stream() {
     // threshold, so spans are force-retained — and the bytes still match.
     tcp_obs::trace::configure(0, 1);
     tcp_obs::trace::clear();
-    let slow_logged = serve_corpus(&json, &corpus, 4, 1);
+    let slow_logged = serve_corpus(&json, &corpus, 4);
     assert_eq!(slow_logged, expected, "slow-logged bytes must match batch");
     let spans = tcp_obs::trace::recent_spans();
     assert!(
@@ -161,7 +161,38 @@ fn tracing_stays_out_of_the_response_stream() {
     // --- Sampling off entirely: nothing new is recorded, bytes still match.
     tcp_obs::trace::configure(0, 0);
     tcp_obs::trace::clear();
-    let untraced = serve_corpus(&json, &corpus, 4, 1);
+    let untraced = serve_corpus(&json, &corpus, 4);
     assert_eq!(untraced, expected, "re-disabled bytes must match batch");
     assert!(tcp_obs::trace::recent_spans().is_empty());
+}
+
+#[test]
+fn file_mode_request_roots_open_on_batch_worker_threads() {
+    let _config = TRACE_CONFIG.lock().unwrap_or_else(|e| e.into_inner());
+    let json = tiny_pack_json();
+    let corpus = requests_to_ndjson(&generate_requests(advisor(&json).pooled().pack(), 400, 17));
+    let expected = serve_session(&AdvisorHandle::new(advisor(&json)), &corpus, 1);
+
+    // With nothing enclosing them, the `serve.request` spans that `run_tasks`
+    // workers open are trace roots of their own — and the bytes do not move.
+    tcp_obs::trace::configure(1, 0);
+    tcp_obs::trace::clear();
+    let threaded = serve_session(&AdvisorHandle::new(advisor(&json)), &corpus, 4);
+    let spans = tcp_obs::trace::recent_spans();
+    tcp_obs::trace::configure(0, 0);
+    tcp_obs::trace::clear();
+
+    assert_eq!(
+        threaded, expected,
+        "traced 4-thread bytes must match 1 thread"
+    );
+    let requests: Vec<_> = spans
+        .iter()
+        .filter(|record| tcp_obs::trace::site_name(record.site) == "serve.request")
+        .collect();
+    assert!(!requests.is_empty(), "request spans must be recorded");
+    for record in requests {
+        assert_eq!(record.parent_id, 0, "each request span is a trace root");
+        assert_ne!(record.trace_id, 0);
+    }
 }
