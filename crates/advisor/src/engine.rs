@@ -69,6 +69,14 @@ macro_rules! wire_enum {
             pub fn as_str(self) -> &'static str {
                 match self { $($ty::$variant => $name),+ }
             }
+
+            /// The value with wire name `name`, if any.
+            pub fn from_name(name: &str) -> Option<Self> {
+                match name {
+                    $($name => Some($ty::$variant),)+
+                    _ => None,
+                }
+            }
         }
         impl serde::Serialize for $ty {
             fn serialize(&self) -> serde::Value {

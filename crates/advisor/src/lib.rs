@@ -19,7 +19,8 @@
 //!   pack, the rest fall back to the pooled pack), and [`AdvisorHandle`], the
 //!   hot-reload slot behind the `!reload` control line;
 //! * [`serve`] — the NDJSON front end behind the `advise` binary (`advise build` /
-//!   `gen` / `serve` / `bench`), with a deterministic load generator.
+//!   `gen` / `serve`), with a deterministic load generator, reading and writing
+//!   request lines through the [`wire`] codec.
 //!
 //! Offline sweeps (`tcp-scenarios`) and online advice share one vocabulary: a pack is
 //! built *from a sweep spec*, so the regimes you swept yesterday are the regimes you can
@@ -45,6 +46,7 @@ pub mod pack;
 pub mod router;
 pub mod serve;
 pub mod table;
+pub mod wire;
 
 pub use builder::PackBuilder;
 pub use engine::{

@@ -17,6 +17,13 @@
 //! and `!health` reports the SLO evaluator's verdict (Healthy/Degraded/Unhealthy),
 //! per-rule states, pack version/age, uptime, and the recent warn/error event ring.
 //!
+//! Request lines go through the [`crate::wire`] codec first: a one-pass reader for
+//! the fixed request key set, and a writer that appends the response straight into
+//! the output buffer, with no `serde::Value` tree in either direction.  A line the
+//! reader does not accept (escapes, unknown or duplicate keys, anything malformed)
+//! falls back to `serde_json`, so its answer or error text is exactly what serde
+//! gives; both paths produce the same bytes for every line.
+//!
 //! The line-level state machine lives in [`Session`], which is front-end agnostic: the
 //! file/stdin path below feeds it a whole document at once, while the TCP server in
 //! `tcp-serve` feeds it whatever slice of lines has arrived on the socket.  Both produce
@@ -26,11 +33,13 @@
 use crate::engine::{AdviceRequest, AdvisorStats};
 use crate::pack::{ModelPack, MultiPack};
 use crate::router::{AdvisorHandle, MultiAdvisor};
+use crate::wire;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use std::fmt::Write;
 use std::sync::Arc;
-use tcp_cloudsim::run_tasks;
+use tcp_cloudsim::{resolve_threads, run_tasks};
 
 /// The error line emitted for requests that could not be answered.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -112,29 +121,42 @@ pub fn render_line<T: Serialize>(value: &T) -> String {
 }
 
 /// Serializes one JSON string fragment for hand-assembled lines (control lines
-/// here, `advise top --once` snapshots); the empty-string fallback keeps the
-/// surrounding line well-formed JSON.
+/// here, `advise top --once` snapshots) through the `serde_json` string writer.
 pub fn render_json_str(value: &str) -> String {
-    serde_json::to_string(value).unwrap_or_else(|_| "\"\"".to_string())
-}
-
-/// Serializes one float for hand-assembled control lines through the sanctioned
-/// serde_json float writer (finite values render as `{:?}` would; NaN and
-/// infinities become `null`, keeping the line valid JSON).
-fn render_f64(value: f64) -> String {
-    serde_json::to_string(&value).unwrap_or_else(|_| "null".to_string())
+    let mut out = String::with_capacity(value.len() + 2);
+    serde_json::write_string(&mut out, value);
+    out
 }
 
 /// Answers one NDJSON request line, returning the response (or error) line without a
 /// trailing newline.
 pub fn respond_line(advisor: &MultiAdvisor, line: &str) -> String {
-    let emit_error = |error: String, id: Option<u64>| render_line(&ErrorLine { error, id });
-    match serde_json::from_str::<AdviceRequest>(line) {
-        Err(e) => emit_error(format!("parse error: {e}"), None),
-        Ok(request) => match advisor.advise(&request) {
-            Ok(response) => render_line(&response),
-            Err(e) => emit_error(e.to_string(), request.id),
+    let mut out = String::with_capacity(512);
+    respond_into(advisor, line, &mut out);
+    out
+}
+
+/// Appends the answer to one request line (no trailing newline) to `out`.  The
+/// [`crate::wire`] codec reads and writes the line; a line it does not accept takes
+/// the `serde_json` path, which also words every parse error.
+fn respond_into(advisor: &MultiAdvisor, line: &str, out: &mut String) {
+    let request = match wire::parse_request(line) {
+        Some(request) => request,
+        None => match serde_json::from_str::<AdviceRequest>(line) {
+            Ok(request) => request,
+            Err(e) => {
+                let error = format!("parse error: {e}");
+                out.push_str(&render_line(&ErrorLine { error, id: None }));
+                return;
+            }
         },
+    };
+    match advisor.advise(&request) {
+        Ok(response) => wire::write_response(&response, out),
+        Err(e) => out.push_str(&render_line(&ErrorLine {
+            error: e.to_string(),
+            id: request.id,
+        })),
     }
 }
 
@@ -178,27 +200,29 @@ impl<'a> Session<'a> {
 
     /// Processes a slice of lines, appending one newline-terminated output line per
     /// non-blank input line to `out`.  Blank lines are skipped.
-    pub fn process(&mut self, lines: &[&str], out: &mut String) {
-        let mut segment: Vec<&str> = Vec::new();
-        for line in lines {
-            let trimmed = line.trim();
-            if trimmed.is_empty() {
-                continue;
-            }
+    pub fn process<S: AsRef<str>>(&mut self, lines: &[S], out: &mut String) {
+        let mut start = 0;
+        for (i, line) in lines.iter().enumerate() {
+            let trimmed = line.as_ref().trim();
             if trimmed.starts_with('!') {
-                self.flush(&mut segment, out);
+                self.flush(&lines[start..i], out);
                 out.push_str(&self.control(trimmed));
                 out.push('\n');
-            } else {
-                segment.push(line);
+                start = i + 1;
             }
         }
-        self.flush(&mut segment, out);
+        self.flush(&lines[start..], out);
     }
 
-    /// Answers one run of request lines in parallel, preserving order.
-    fn flush(&mut self, segment: &mut Vec<&str>, out: &mut String) {
-        if segment.is_empty() {
+    /// Answers one run of request lines (blank lines skipped), preserving order:
+    /// inline straight into `out` on one thread, else in parallel.
+    fn flush<S: AsRef<str>>(&mut self, run: &[S], out: &mut String) {
+        let lines = run
+            .iter()
+            .map(AsRef::as_ref)
+            .filter(|line: &&str| !line.trim().is_empty());
+        let requests = lines.clone().count();
+        if requests == 0 {
             return;
         }
         let advisor = self.snapshot();
@@ -208,7 +232,16 @@ impl<'a> Session<'a> {
         // (threads = 1) under an enclosing connection trace, the root nests as a
         // child span instead.  Inert (one atomic load) when tracing is off.
         let base_ordinal = self.requests_seen;
-        self.requests_seen += segment.len() as u64;
+        self.requests_seen += requests as u64;
+        if resolve_threads(self.threads, requests) == 1 {
+            for (ordinal, line) in (base_ordinal..).zip(lines) {
+                let _root = tcp_obs::root_span!("serve.request", ordinal, ordinal);
+                respond_into(&advisor, line, out);
+                out.push('\n');
+            }
+            return;
+        }
+        let segment: Vec<&str> = lines.collect();
         let responses = run_tasks(segment.len(), self.threads, |i| {
             let ordinal = base_ordinal + i as u64;
             let _root = tcp_obs::root_span!("serve.request", ordinal, ordinal);
@@ -218,7 +251,6 @@ impl<'a> Session<'a> {
             out.push_str(&response);
             out.push('\n');
         }
-        segment.clear();
     }
 
     /// Snapshots the current advisor for [`Session::stats`].  When a reload
@@ -358,23 +390,27 @@ impl<'a> Session<'a> {
             Some(r) => (r.verdict.as_str(), r.rules_json()),
             None => ("healthy", "[]".to_string()),
         };
-        let recent: Vec<String> = tcp_obs::log::recent_errors()
-            .iter()
-            .map(|e| e.to_json_line())
-            .collect();
-        format!(
-            "{{\"control\":\"health\",\"health\":{{\"pack\":{{\"age_secs\":{},\
-             \"cells\":{},\"format_version\":{},\"name\":{}}},\"recent_errors\":[{}],\
-             \"rules\":{},\"uptime_secs\":{},\"verdict\":\"{}\"}}}}",
-            render_f64(pack_age_secs()),
+        let mut out = String::with_capacity(256);
+        out.push_str("{\"control\":\"health\",\"health\":{\"pack\":{\"age_secs\":");
+        serde_json::write_float(&mut out, pack_age_secs());
+        let _ = write!(
+            out,
+            ",\"cells\":{},\"format_version\":{},\"name\":",
             advisor.cell_names().len(),
             advisor.pooled().pack().format_version,
-            render_json_str(advisor.name()),
-            recent.join(","),
-            rules,
-            render_f64(tcp_obs::log::now_monotonic_secs()),
-            verdict,
-        )
+        );
+        serde_json::write_string(&mut out, advisor.name());
+        out.push_str("},\"recent_errors\":[");
+        for (i, event) in tcp_obs::log::recent_errors().iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str(&event.to_json_line());
+        }
+        let _ = write!(out, "],\"rules\":{rules},\"uptime_secs\":");
+        serde_json::write_float(&mut out, tcp_obs::log::now_monotonic_secs());
+        let _ = write!(out, ",\"verdict\":\"{verdict}\"}}}}");
+        out
     }
 
     /// The one-line JSON answer to a `!profile` control line:

@@ -1,13 +1,15 @@
 //! Integration and property tests for the advisor: table answers must match direct
 //! `tcp_core::analysis` / `tcp_policy` evaluation within interpolation tolerance, tables
 //! must be monotone where the math says they must be, and the serving path must be
-//! byte-deterministic across thread counts.
+//! byte-deterministic across thread counts and byte-identical to the plain serde path
+//! it replaced.
 
 use proptest::prelude::*;
 use std::sync::OnceLock;
 use tcp_advisor::{
-    generate_requests, requests_to_ndjson, serve_session, AdviceRequest, Advisor, AdvisorHandle,
-    Decision, ModelPack, PackBuilder,
+    generate_multi_requests, generate_requests, requests_to_ndjson, respond_line, serve_session,
+    wire, AdviceRequest, Advisor, AdvisorHandle, CellPackEntry, Decision, ErrorLine, ModelPack,
+    MultiAdvisor, MultiPack, PackBuilder,
 };
 use tcp_core::analysis::expected_makespan_from_age;
 use tcp_core::BathtubModel;
@@ -302,4 +304,125 @@ fn serving_10k_requests_is_thread_invariant() {
     let four = serve_session(&handle, &input, 4);
     assert_eq!(one, four, "NDJSON output must be byte-identical");
     assert_eq!(one.lines().count(), 10_000);
+}
+
+/// Path of a file under the repository's `examples/`.
+fn example(path: &str) -> String {
+    format!("{}/../../examples/{path}", env!("CARGO_MANIFEST_DIR"))
+}
+
+/// The pack `advise build examples/advisor/advisor_pack.toml` writes.
+fn example_pack() -> &'static ModelPack {
+    static PACK: OnceLock<ModelPack> = OnceLock::new();
+    PACK.get_or_init(|| {
+        let spec = SweepSpec::from_path(example("advisor/advisor_pack.toml").as_ref()).unwrap();
+        PackBuilder::default().build_from_spec(&spec).unwrap()
+    })
+}
+
+/// A pack set routing two cells to copies of the test pack.
+fn multi_pack() -> MultiPack {
+    let cell = |name: &str| CellPackEntry {
+        cell: name.to_string(),
+        pack: pack().clone(),
+    };
+    MultiPack {
+        format_version: tcp_advisor::pack::MULTI_PACK_FORMAT_VERSION,
+        name: "wire-test".to_string(),
+        catalog: "wire-test".to_string(),
+        pooled: pack().clone(),
+        cells: vec![
+            cell("n1-highcpu-16/us-east1-b/day"),
+            cell("n1-highcpu-2/us-west1-a/night"),
+        ],
+    }
+}
+
+/// One line answered the way serving worked before the wire codec: `serde_json`
+/// parse, advise, `serde_json` render.
+fn serde_reference(advisor: &MultiAdvisor, line: &str) -> String {
+    let reply = match serde_json::from_str::<AdviceRequest>(line) {
+        Err(e) => serde_json::to_string(&ErrorLine {
+            error: format!("parse error: {e}"),
+            id: None,
+        }),
+        Ok(request) => match advisor.advise(&request) {
+            Ok(response) => serde_json::to_string(&response),
+            Err(e) => serde_json::to_string(&ErrorLine {
+                error: e.to_string(),
+                id: request.id,
+            }),
+        },
+    };
+    reply.unwrap()
+}
+
+/// Asserts `respond_line` equals the serde reference on every line, and returns how
+/// many lines the codec read itself.
+fn assert_matches_serde<'a>(advisor: &MultiAdvisor, lines: impl Iterator<Item = &'a str>) -> usize {
+    let mut decoded = 0;
+    for line in lines {
+        assert_eq!(
+            respond_line(advisor, line),
+            serde_reference(advisor, line),
+            "line {line:?}"
+        );
+        decoded += usize::from(wire::parse_request(line).is_some());
+    }
+    decoded
+}
+
+/// perfbench-style invalid lines: truncated JSON, an unknown cell, a NaN literal and
+/// a negative input, built from `request`.
+fn invalid_lines(request: &AdviceRequest) -> Vec<String> {
+    let text = serde_json::to_string(request).unwrap();
+    let mut unknown_cell = request.clone();
+    unknown_cell.cell = Some("n1-highcpu-64/nowhere-1z/day".to_string());
+    let mut negative = request.clone();
+    negative.vm_age = Some(-1.0);
+    negative.job_len = Some(2.0);
+    vec![
+        text[..text.len() / 2].to_string(),
+        serde_json::to_string(&unknown_cell).unwrap(),
+        text.replacen("\"id\":", "\"vm_age\":NaN,\"id\":", 1),
+        serde_json::to_string(&negative).unwrap(),
+    ]
+}
+
+#[test]
+fn generated_corpora_take_the_codec_path_and_match_serde() {
+    let single = MultiAdvisor::from_pack(pack().clone()).unwrap();
+    let requests = generate_requests(pack(), 10_000, 2020);
+    let ndjson = requests_to_ndjson(&requests);
+    assert_eq!(assert_matches_serde(&single, ndjson.lines()), 10_000);
+
+    let multi = multi_pack();
+    let routed = MultiAdvisor::from_multi(multi.clone()).unwrap();
+    let requests = generate_multi_requests(&multi, 10_000, 7);
+    assert!(requests.iter().any(|r| r.cell.is_some()));
+    let ndjson = requests_to_ndjson(&requests);
+    assert_eq!(assert_matches_serde(&routed, ndjson.lines()), 10_000);
+
+    let invalid: Vec<String> = requests.iter().take(200).flat_map(invalid_lines).collect();
+    assert_matches_serde(&routed, invalid.iter().map(String::as_str));
+}
+
+#[test]
+fn example_and_edge_case_lines_match_serde() {
+    let advisor = MultiAdvisor::from_pack(example_pack().clone()).unwrap();
+    for file in ["serve/requests.ndjson", "serve/wire_edge_cases.ndjson"] {
+        let text = std::fs::read_to_string(example(file)).unwrap();
+        assert!(assert_matches_serde(&advisor, text.lines()) > 0, "{file}");
+    }
+}
+
+#[test]
+fn edge_case_answers_match_the_committed_golden() {
+    // `wire_edge_cases.expected.ndjson` was recorded by `advise serve --threads 1`
+    // before the wire codec existed.
+    let input = std::fs::read_to_string(example("serve/wire_edge_cases.ndjson")).unwrap();
+    let golden = std::fs::read_to_string(example("serve/wire_edge_cases.expected.ndjson")).unwrap();
+    let handle = AdvisorHandle::new(MultiAdvisor::from_pack(example_pack().clone()).unwrap());
+    assert_eq!(serve_session(&handle, &input, 1), golden);
+    assert_eq!(serve_session(&handle, &input, 4), golden);
 }

@@ -244,6 +244,17 @@ enum Slot {
     Overloaded,
 }
 
+/// A slot's text for [`Session::process`].  A shed slot reads as a blank line, which
+/// a session skips; [`flush_batch`] answers it with its overload line in place.
+impl AsRef<str> for Slot {
+    fn as_ref(&self) -> &str {
+        match self {
+            Slot::Line(text, _) => text,
+            Slot::Overloaded => "",
+        }
+    }
+}
+
 /// A running advisor server.  Dropping the handle does **not** stop the server; call
 /// [`Server::shutdown`] (or send a `!shutdown` control line) and then
 /// [`Server::join`].
@@ -489,6 +500,8 @@ fn serve_connection(connection: QueuedConnection, shared: &Shared) {
     let mut session = Session::new(&shared.handle, 1);
     let batch_cap = shared.options.max_batch;
     let mut pending: Vec<Slot> = Vec::new();
+    // The reply buffer, reused by every batch of the connection.
+    let mut out = String::new();
     // Bytes of a line whose terminator has not arrived yet.  Lines are assembled at
     // the byte level (not via `read_line`) so a read timeout can never discard
     // partially received multi-byte characters mid-line.
@@ -500,10 +513,10 @@ fn serve_connection(connection: QueuedConnection, shared: &Shared) {
                 if !partial.is_empty()
                     && !queue_line(std::mem::take(&mut partial), &mut pending, shared)
                 {
-                    shutdown_connection(&mut session, &mut pending, &mut writer, shared);
+                    shutdown_connection(&mut session, &mut pending, &mut out, &mut writer, shared);
                     return;
                 }
-                let _ = flush_batch(&mut session, &mut pending, &mut writer, shared);
+                let _ = flush_batch(&mut session, &mut pending, &mut out, &mut writer, shared);
                 return;
             }
             Ok(chunk) => {
@@ -518,11 +531,18 @@ fn serve_connection(connection: QueuedConnection, shared: &Shared) {
                     }
                     consumed += offset + 1;
                     if !queue_line(line_bytes, &mut pending, shared) {
-                        shutdown_connection(&mut session, &mut pending, &mut writer, shared);
+                        shutdown_connection(
+                            &mut session,
+                            &mut pending,
+                            &mut out,
+                            &mut writer,
+                            shared,
+                        );
                         return;
                     }
                     if pending.len() >= batch_cap
-                        && flush_batch(&mut session, &mut pending, &mut writer, shared).is_err()
+                        && flush_batch(&mut session, &mut pending, &mut out, &mut writer, shared)
+                            .is_err()
                     {
                         return;
                     }
@@ -535,7 +555,7 @@ fn serve_connection(connection: QueuedConnection, shared: &Shared) {
                     || e.kind() == std::io::ErrorKind::TimedOut =>
             {
                 if shared.shutdown.load(Ordering::SeqCst) {
-                    let _ = flush_batch(&mut session, &mut pending, &mut writer, shared);
+                    let _ = flush_batch(&mut session, &mut pending, &mut out, &mut writer, shared);
                     return;
                 }
                 continue;
@@ -546,7 +566,7 @@ fn serve_connection(connection: QueuedConnection, shared: &Shared) {
         // The whole chunk was consumed, so the internal buffer is drained and the
         // next read may block: answer everything complete now.  A stalled partial
         // line never withholds the responses of the requests before it.
-        if flush_batch(&mut session, &mut pending, &mut writer, shared).is_err() {
+        if flush_batch(&mut session, &mut pending, &mut out, &mut writer, shared).is_err() {
             return;
         }
         // A drain was requested (by `!shutdown` on another connection): everything
@@ -563,10 +583,11 @@ fn serve_connection(connection: QueuedConnection, shared: &Shared) {
 fn shutdown_connection(
     session: &mut Session<'_>,
     pending: &mut Vec<Slot>,
+    out: &mut String,
     writer: &mut BufWriter<TcpStream>,
     shared: &Shared,
 ) {
-    let _ = flush_batch(session, pending, writer, shared);
+    let _ = flush_batch(session, pending, out, writer, shared);
     let draining = shared
         .queue
         .lock()
@@ -583,10 +604,12 @@ fn shutdown_connection(
 }
 
 /// Answers one batch of slots in input order, writes the responses, and returns the
-/// in-flight permits.  An `Err` means the client is gone; the caller closes.
+/// in-flight permits.  `out` is the connection's reply buffer, reused across
+/// batches.  An `Err` means the client is gone; the caller closes.
 fn flush_batch(
     session: &mut Session<'_>,
     pending: &mut Vec<Slot>,
+    out: &mut String,
     writer: &mut BufWriter<TcpStream>,
     shared: &Shared,
 ) -> std::io::Result<()> {
@@ -596,38 +619,32 @@ fn flush_batch(
     // Batch-assembly-and-dispatch span, nested in the connection trace; the arg is
     // the batch size.  Per-request spans open inside `Session::process`.
     let _batch_span = tcp_obs::span!("serve.batch.flush", pending.len() as u64);
-    let mut out = String::new();
-    let mut run: Vec<&str> = Vec::new();
-    let mut permits = 0usize;
-    let mut served = 0u64;
+    out.clear();
+    // The runs of lines between shed slots go through the session; each shed slot
+    // answers with its overload line in place.
+    let mut runs = pending.split(|slot| matches!(slot, Slot::Overloaded));
     let mut overloaded = 0u64;
-    for slot in pending.iter() {
-        match slot {
-            Slot::Line(text, holds_permit) => {
-                run.push(text);
-                if *holds_permit {
-                    permits += 1;
-                    served += 1;
-                }
-            }
-            Slot::Overloaded => {
-                session.process(&run, &mut out);
-                run.clear();
-                let line = render_line(&OverloadLine {
-                    error: format!(
-                        "overloaded: in-flight budget exhausted (max {}); retry later",
-                        shared.options.max_inflight
-                    ),
-                    code: 503,
-                    id: None,
-                });
-                out.push_str(&line);
-                out.push('\n');
-                overloaded += 1;
-            }
-        }
+    if let Some(run) = runs.next() {
+        session.process(run, out);
     }
-    session.process(&run, &mut out);
+    for run in runs {
+        out.push_str(&render_line(&OverloadLine {
+            error: format!(
+                "overloaded: in-flight budget exhausted (max {}); retry later",
+                shared.options.max_inflight
+            ),
+            code: 503,
+            id: None,
+        }));
+        out.push('\n');
+        overloaded += 1;
+        session.process(run, out);
+    }
+    let permits = pending
+        .iter()
+        .filter(|slot| matches!(slot, Slot::Line(_, true)))
+        .count();
+    let served = permits as u64;
     pending.clear();
     let outcome = writer
         .write_all(out.as_bytes())
