@@ -3,12 +3,10 @@
 //! An [`Advisor`] wraps an immutable, `Arc`-shared [`ModelPack`] with per-regime
 //! interpolants rebuilt at load time.  The read path is lock-free: every query touches
 //! only shared immutable tables, so any number of threads can serve concurrently; the
-//! only mutable state is a set of sharded [`tcp_obs::Counter`]s (pack-scoped query
-//! stats behind [`Advisor::stats`]) plus global `advisor.latency.*` histograms in the
-//! [`tcp_obs::Registry`], so `!stats` and `!metrics` read the same recording machinery.
-//! Batches fan out over the workspace's work-stealing driver
-//! ([`tcp_cloudsim::run_tasks`]) and are returned in request order, which makes batch
-//! output bit-identical for every thread count.
+//! only mutable state is one sharded [`tcp_obs::Counter`] per (regime, request kind)
+//! — the pack-scoped count every [`Advisor::stats`] and [`Advisor::family_stats`]
+//! figure is summed from at read time — plus the global `advisor.latency.*`
+//! histograms in the [`tcp_obs::Registry`].
 
 use crate::error::{require, validate_non_negative, validate_positive, AdvisorError, Result};
 use crate::pack::{ModelPack, PackSchedule, PolicyCard, RegimePack};
@@ -16,10 +14,8 @@ use crate::table::Table2D;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use std::time::Instant;
-use tcp_cloudsim::run_tasks;
 use tcp_numerics::interp::LinearInterp;
-use tcp_obs::{Counter, Histogram};
+use tcp_obs::{Counter, Histogram, SpanTimer};
 
 /// The kinds of questions the advisor answers.
 ///
@@ -48,6 +44,14 @@ pub const LATENCY_HISTOGRAMS: [&str; 4] = [
 ];
 
 impl RequestKind {
+    /// Every kind, in index order.
+    const ALL: [RequestKind; 4] = [
+        RequestKind::ShouldReuse,
+        RequestKind::CheckpointPlan,
+        RequestKind::ExpectedCostMakespan,
+        RequestKind::BestPolicy,
+    ];
+
     fn index(self) -> usize {
         match self {
             RequestKind::ShouldReuse => 0,
@@ -307,6 +311,9 @@ struct RegimeEngine {
     survival: LinearInterp,
     first_moment: LinearInterp,
     checkpoints: Vec<CheckpointEngine>,
+    /// Queries this regime answered, one counter per request kind.  Increments land
+    /// in cache-line-padded per-thread shards, so the record path never contends.
+    answered: [Counter; 4],
 }
 
 impl RegimeEngine {
@@ -334,6 +341,15 @@ impl RegimeEngine {
         }
         ((alive - self.survival.eval(vm_age + job_len)) / alive).clamp(0.0, 1.0)
     }
+
+    /// This regime's answered-query counts, summed over the shards.
+    fn stats(&self) -> AdvisorStats {
+        let mut stats = AdvisorStats::default();
+        for kind in RequestKind::ALL {
+            stats.add(kind, self.answered[kind.index()].get());
+        }
+        stats
+    }
 }
 
 struct CheckpointEngine {
@@ -341,49 +357,6 @@ struct CheckpointEngine {
     expected: Table2D,
     job_lens: Vec<f64>,
     schedules: Vec<PackSchedule>,
-}
-
-/// The model families tracked by the per-family serving counters; anything new lands
-/// in the trailing `other` bucket until it gets a slot of its own.
-const FAMILIES: [&str; 7] = [
-    "bathtub",
-    "weibull",
-    "exponential",
-    "phased",
-    "empirical",
-    "mixture",
-    "other",
-];
-
-fn family_index(family: &str) -> usize {
-    FAMILIES
-        .iter()
-        .position(|f| *f == family)
-        .unwrap_or(FAMILIES.len() - 1)
-}
-
-/// Pack-scoped query counters, one sharded [`Counter`] per request kind and family.
-///
-/// These belong to the [`Advisor`] instance (they reset when a `!reload` swaps the
-/// pack in), while the latency histograms live in the global [`tcp_obs::Registry`]
-/// (process lifetime): the two surfaces share the same sharded recording machinery
-/// from `tcp-obs`, so `!stats` and `!metrics` cannot drift apart.
-struct AdvisorCounters {
-    kinds: [Counter; 4],
-    /// Queries answered per served curve family (`served_family` of the regime).
-    served: [Counter; FAMILIES.len()],
-    /// Queries answered per DP-table family (`dp_family` of the regime).
-    dp: [Counter; FAMILIES.len()],
-}
-
-impl AdvisorCounters {
-    fn new() -> Self {
-        AdvisorCounters {
-            kinds: std::array::from_fn(|_| Counter::new()),
-            served: std::array::from_fn(|_| Counter::new()),
-            dp: std::array::from_fn(|_| Counter::new()),
-        }
-    }
 }
 
 /// Aggregated serving statistics.
@@ -407,6 +380,16 @@ impl AdvisorStats {
     /// Total queries answered.
     pub fn total(&self) -> u64 {
         self.should_reuse + self.checkpoint_plan + self.expected_cost_makespan + self.best_policy
+    }
+
+    /// Counts `n` more answered queries of `kind`.
+    pub fn add(&mut self, kind: RequestKind, n: u64) {
+        *match kind {
+            RequestKind::ShouldReuse => &mut self.should_reuse,
+            RequestKind::CheckpointPlan => &mut self.checkpoint_plan,
+            RequestKind::ExpectedCostMakespan => &mut self.expected_cost_makespan,
+            RequestKind::BestPolicy => &mut self.best_policy,
+        } += n;
     }
 
     /// Adds another set of counts into this one, kind by kind.
@@ -447,11 +430,8 @@ impl FamilyStats {
 /// The online advisory query engine.
 pub struct Advisor {
     pack: Arc<ModelPack>,
+    /// One engine per pack regime, in pack order.
     engines: Vec<RegimeEngine>,
-    /// Per-regime `(served_family, dp_family)` counter slots, resolved at load time so
-    /// the nanosecond record path indexes fixed arrays instead of hashing strings.
-    families: Vec<(usize, usize)>,
-    counters: AdvisorCounters,
     /// Global per-kind latency histograms (`advisor.latency.*`), resolved from the
     /// registry once at load time.
     latency: [&'static Histogram; 4],
@@ -470,16 +450,9 @@ impl Advisor {
             .iter()
             .map(RegimeEngine::new)
             .collect::<Result<Vec<_>>>()?;
-        let families = pack
-            .regimes
-            .iter()
-            .map(|r| (family_index(&r.served_family), family_index(&r.dp_family)))
-            .collect();
         Ok(Advisor {
             pack: Arc::new(pack),
             engines,
-            families,
-            counters: AdvisorCounters::new(),
             latency: LATENCY_HISTOGRAMS.map(tcp_obs::histogram),
             trace_sites: [
                 tcp_obs::trace::site_id("advisor.lookup.should_reuse"),
@@ -500,44 +473,27 @@ impl Advisor {
         &self.pack
     }
 
-    /// Aggregated query counters across all statistics shards.
+    /// Queries answered, by kind, summed over regimes.
     pub fn stats(&self) -> AdvisorStats {
-        AdvisorStats {
-            best_policy: self.counters.kinds[RequestKind::BestPolicy.index()].get(),
-            checkpoint_plan: self.counters.kinds[RequestKind::CheckpointPlan.index()].get(),
-            expected_cost_makespan: self.counters.kinds[RequestKind::ExpectedCostMakespan.index()]
-                .get(),
-            should_reuse: self.counters.kinds[RequestKind::ShouldReuse.index()].get(),
+        let mut total = AdvisorStats::default();
+        for engine in &self.engines {
+            total.merge(&engine.stats());
         }
+        total
     }
 
-    /// Per-family query counters across all statistics shards (non-zero entries only).
+    /// Queries answered, grouped by each regime's `served_family` and `dp_family`
+    /// (non-zero entries only).
     pub fn family_stats(&self) -> FamilyStats {
         let mut out = FamilyStats::default();
-        for (i, family) in FAMILIES.iter().enumerate() {
-            let served = self.counters.served[i].get();
-            let dp = self.counters.dp[i].get();
-            if served > 0 {
-                out.served.insert(family.to_string(), served);
-            }
-            if dp > 0 {
-                out.dp.insert(family.to_string(), dp);
+        for (regime, engine) in self.pack.regimes.iter().zip(&self.engines) {
+            let answered = engine.stats().total();
+            if answered > 0 {
+                *out.served.entry(regime.served_family.clone()).or_default() += answered;
+                *out.dp.entry(regime.dp_family.clone()).or_default() += answered;
             }
         }
         out
-    }
-
-    fn record(&self, kind: RequestKind, regime_index: usize, started: Instant) {
-        // Counters scatter across cache-line-padded shards inside `tcp_obs::Counter`
-        // (the shard is a pure per-thread function) — record() sits on the nanosecond
-        // path and must never contend.
-        self.counters.kinds[kind.index()].incr();
-        let (served, dp) = self.families[regime_index];
-        self.counters.served[served].incr();
-        self.counters.dp[dp].incr();
-        // Latency lands in the global registry, subject to the process-wide
-        // `tcp_obs::set_enabled` gate.
-        self.latency[kind.index()].record_duration(started.elapsed());
     }
 
     fn resolve_regime(&self, requested: Option<&str>) -> Result<usize> {
@@ -557,11 +513,30 @@ impl Advisor {
 
     /// Answers one request.
     pub fn advise(&self, request: &AdviceRequest) -> Result<AdviceResponse> {
-        // lint:allow(determinism) latency metric only: `started` feeds the query-stats histogram, never a response field
-        let started = Instant::now();
+        let kind = request.kind.index();
+        // Latency lands in the global registry, subject to the process-wide
+        // `tcp_obs::set_enabled` gate (a disabled timer reads no clock).
+        let timer = SpanTimer::start(self.latency[kind]);
         // The per-kind warm-lookup span (inert unless this thread is tracing a
         // request); the site id is pre-interned so this is pointer work only.
-        let _span = tcp_obs::trace::Span::enter(self.trace_sites[request.kind.index()], 0);
+        let _span = tcp_obs::trace::Span::enter(self.trace_sites[kind], 0);
+        // Count (and time) only successfully answered queries, after validation: every
+        // error class (parse, unknown regime, invalid input) is excluded uniformly, so
+        // the serving counters and latency histograms mean one thing.
+        match self.answer(request) {
+            Ok((engine, response)) => {
+                engine.answered[kind].incr();
+                Ok(response)
+            }
+            Err(e) => {
+                timer.cancel();
+                Err(e)
+            }
+        }
+    }
+
+    /// Resolves the regime and answers, returning the engine that answered.
+    fn answer(&self, request: &AdviceRequest) -> Result<(&RegimeEngine, AdviceResponse)> {
         let index = self.resolve_regime(request.regime.as_deref())?;
         let regime = &self.pack.regimes[index];
         let engine = &self.engines[index];
@@ -571,21 +546,7 @@ impl Advisor {
             RequestKind::ExpectedCostMakespan => Self::cost_makespan(regime, engine, request),
             RequestKind::BestPolicy => Ok(Self::best_policy(regime, request)),
         }?;
-        // Count (and time) only successfully answered queries, after validation: every
-        // error class (parse, unknown regime, invalid input) is excluded uniformly, so
-        // the serving counters and latency histograms mean one thing.
-        self.record(request.kind, index, started);
-        Ok(response)
-    }
-
-    /// Answers a batch of requests over `threads` worker threads (`0` = all CPUs),
-    /// returning responses in request order — bit-identical for every thread count.
-    pub fn advise_batch(
-        &self,
-        requests: &[AdviceRequest],
-        threads: usize,
-    ) -> Vec<Result<AdviceResponse>> {
-        run_tasks(requests.len(), threads, |i| self.advise(&requests[i]))
+        Ok((engine, response))
     }
 
     fn phase_of(regime: &RegimePack, age: f64) -> VmPhase {
@@ -736,6 +697,7 @@ impl RegimeEngine {
             survival,
             first_moment,
             checkpoints,
+            answered: std::array::from_fn(|_| Counter::new()),
         })
     }
 }
@@ -885,8 +847,18 @@ mod tests {
                 req
             })
             .collect();
-        let one = a.advise_batch(&requests, 1);
-        let many = a.advise_batch(&requests, 4);
+        let one: Vec<_> = requests.iter().map(|r| a.advise(r)).collect();
+        // The same batch split over four threads, reassembled in request order.
+        let many: Vec<_> = std::thread::scope(|scope| {
+            let workers: Vec<_> = requests
+                .chunks(50)
+                .map(|chunk| scope.spawn(|| chunk.iter().map(|r| a.advise(r)).collect::<Vec<_>>()))
+                .collect();
+            workers
+                .into_iter()
+                .flat_map(|w| w.join().unwrap())
+                .collect()
+        });
         assert_eq!(one, many);
         for (i, r) in one.iter().enumerate() {
             assert_eq!(r.as_ref().unwrap().id, Some(i as u64));
@@ -897,10 +869,16 @@ mod tests {
     fn stats_count_served_queries_across_threads() {
         let a = advisor();
         assert_eq!(a.stats().total(), 0);
-        let requests: Vec<AdviceRequest> = (0..64)
-            .map(|_| AdviceRequest::should_reuse("gcp-day", 5.0, 4.0))
-            .collect();
-        a.advise_batch(&requests, 4);
+        let request = AdviceRequest::should_reuse("gcp-day", 5.0, 4.0);
+        std::thread::scope(|scope| {
+            for _ in 0..4 {
+                scope.spawn(|| {
+                    for _ in 0..16 {
+                        a.advise(&request).unwrap();
+                    }
+                });
+            }
+        });
         let stats = a.stats();
         assert_eq!(stats.should_reuse, 64);
         assert_eq!(stats.total(), 64);

@@ -12,8 +12,7 @@
 //! * [`engine`] — [`Advisor`], the lock-free query engine: an `Arc`-shared immutable
 //!   pack behind monotone-safe linear interpolation
 //!   ([`tcp_numerics::interp::LinearInterp`] + bilinear [`table::Table2D`]), answering
-//!   typed requests in microseconds, individually or in batches fanned over the
-//!   [`tcp_cloudsim::run_tasks`] work-stealing driver;
+//!   typed requests in microseconds from any number of threads at once;
 //! * [`router`] — [`MultiAdvisor`], per-cell routing over a pack set built from a
 //!   `calibrate fit` regime catalog (requests carrying a `cell` go to that cell's
 //!   pack, the rest fall back to the pooled pack), and [`AdvisorHandle`], the

@@ -436,7 +436,9 @@ mod tests {
         let a = crate::Advisor::new(pack.clone()).unwrap();
         let b = crate::Advisor::new(upgraded).unwrap();
         let requests = crate::serve::generate_requests(&pack, 200, 4);
-        assert_eq!(a.advise_batch(&requests, 1), b.advise_batch(&requests, 1));
+        for request in &requests {
+            assert_eq!(a.advise(request), b.advise(request));
+        }
     }
 
     #[test]

@@ -15,7 +15,6 @@ use crate::engine::{AdviceRequest, AdviceResponse, Advisor, AdvisorStats, Family
 use crate::error::{AdvisorError, Result};
 use crate::pack::{ModelPack, MultiPack};
 use std::sync::{Arc, RwLock};
-use tcp_cloudsim::run_tasks;
 
 /// The cell-routing query engine: pooled fallback plus per-cell advisors.
 pub struct MultiAdvisor {
@@ -118,32 +117,27 @@ impl MultiAdvisor {
         }
     }
 
-    /// Answers a batch over `threads` worker threads (`0` = all CPUs), preserving
-    /// request order — bit-identical for every thread count.
-    pub fn advise_batch(
-        &self,
-        requests: &[AdviceRequest],
-        threads: usize,
-    ) -> Vec<Result<AdviceResponse>> {
-        run_tasks(requests.len(), threads, |i| self.advise(&requests[i]))
+    /// The pooled advisor followed by every cell advisor.
+    fn advisors(&self) -> impl Iterator<Item = &Advisor> {
+        std::iter::once(&self.pooled).chain(self.cells.iter().map(|(_, advisor)| advisor))
     }
 
     /// Aggregated per-family counters across the pooled pack and every cell pack.
     pub fn family_stats(&self) -> FamilyStats {
-        let mut total = self.pooled.family_stats();
-        for (_, advisor) in &self.cells {
-            total.merge(&advisor.family_stats());
-        }
-        total
+        self.advisors()
+            .fold(FamilyStats::default(), |mut total, advisor| {
+                total.merge(&advisor.family_stats());
+                total
+            })
     }
 
     /// Aggregated serving statistics across the pooled pack and every cell pack.
     pub fn stats(&self) -> AdvisorStats {
-        let mut total = self.pooled.stats();
-        for (_, advisor) in &self.cells {
-            total.merge(&advisor.stats());
-        }
-        total
+        self.advisors()
+            .fold(AdvisorStats::default(), |mut total, advisor| {
+                total.merge(&advisor.stats());
+                total
+            })
     }
 }
 
@@ -318,7 +312,9 @@ mod tests {
             req.regime = None;
             requests.push(req.with_cell(cell));
         }
-        assert_eq!(a.advise_batch(&requests, 1), b.advise_batch(&requests, 2));
+        for request in &requests {
+            assert_eq!(a.advise(request), b.advise(request));
+        }
     }
 
     #[test]
@@ -354,10 +350,9 @@ dp_step_minutes = 30.0
         // ...and the snapshot still answers exactly like a fresh advisor on the old
         // pack, while new lookups see the new one.
         let expected = MultiAdvisor::from_pack(pack_a).unwrap();
-        assert_eq!(
-            snapshot.advise_batch(&requests, 2),
-            expected.advise_batch(&requests, 1)
-        );
+        for request in &requests {
+            assert_eq!(snapshot.advise(request), expected.advise(request));
+        }
         assert_eq!(handle.current().pooled().pack().name, "reloaded");
         let old_regime = snapshot.advise(&requests[0]).unwrap().regime;
         assert_eq!(old_regime, "gcp-day");

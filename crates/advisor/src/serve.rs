@@ -11,11 +11,12 @@
 //! answered by the old pack, lines after it by the new one, and any batch already
 //! holding a snapshot keeps answering from it unaffected.  The control line itself
 //! produces one `{"control": "reload", ...}` (or `{"error": ...}`) line in place.
-//! `!stats` emits the sharded query counters as a one-line JSON health report with
-//! deterministically sorted keys, `!metrics` dumps the process-global
-//! [`tcp_obs::Registry`] (latency histograms included) as one line of sorted-key JSON,
-//! and `!health` reports the SLO evaluator's verdict (Healthy/Degraded/Unhealthy),
-//! per-rule states, pack version/age, uptime, and the recent warn/error event ring.
+//! `!stats` emits the live pack's query counters and the session's own counts as a
+//! one-line JSON health report with deterministically sorted keys, `!metrics` dumps
+//! the process-global [`tcp_obs::Registry`] (latency histograms included) as one
+//! line of sorted-key JSON, and `!health` reports the SLO evaluator's verdict
+//! (Healthy/Degraded/Unhealthy), per-rule states, pack version/age, uptime, and the
+//! recent warn/error event ring.
 //!
 //! Request lines go through the [`crate::wire`] codec first: a one-pass reader for
 //! the fixed request key set, and a writer that appends the response straight into
@@ -30,7 +31,7 @@
 //! byte-identical output for the same line sequence because a [`Session`] only depends
 //! on the lines themselves and the packs they load.
 
-use crate::engine::{AdviceRequest, AdvisorStats};
+use crate::engine::{AdviceRequest, AdvisorStats, RequestKind};
 use crate::pack::{ModelPack, MultiPack};
 use crate::router::{AdvisorHandle, MultiAdvisor};
 use crate::wire;
@@ -38,7 +39,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::fmt::Write;
-use std::sync::Arc;
 use tcp_cloudsim::{resolve_threads, run_tasks};
 
 /// The error line emitted for requests that could not be answered.
@@ -61,8 +61,8 @@ pub struct ControlLine {
     pub cells: usize,
 }
 
-/// The health line emitted for a `!stats` control line: the sharded query counters,
-/// aggregated and rendered as JSON.
+/// The health line emitted for a `!stats` control line: the live pack's query
+/// counters and the session's own counts, rendered as JSON.
 ///
 /// Fields are declared in alphabetical order on purpose: derived serialization emits
 /// fields in declaration order (and nested maps are `BTreeMap`s), so the `!stats`
@@ -88,11 +88,9 @@ pub struct StatsLine {
     pub pack_age_secs: f64,
     /// Pack format version of the served pack.
     pub pack_format_version: u32,
-    /// Counters summed over every pack this session has served from — the figure that
-    /// survives a `!reload` (which swaps the live counters).  Pack counters are shared
-    /// by every session serving the same packs, so under a multi-connection server
-    /// this equals the session's own counts only for the sole connection; otherwise it
-    /// covers all traffic on the packs this session touched.
+    /// Queries this session answered, across every `!reload`: the whole stream in
+    /// file mode, this connection's own lines under TCP.  Other connections'
+    /// traffic on the same pack shows in `current`, never here.
     pub served: AdvisorStats,
     /// Queries per *served curve* family (`served_family` of the answering regime)
     /// for the pack currently being served — like `current`, the server-wide figure
@@ -136,10 +134,11 @@ pub fn respond_line(advisor: &MultiAdvisor, line: &str) -> String {
     out
 }
 
-/// Appends the answer to one request line (no trailing newline) to `out`.  The
+/// Appends the answer to one request line (no trailing newline) to `out`, returning
+/// the query's kind if it was answered (`None` for an error line).  The
 /// [`crate::wire`] codec reads and writes the line; a line it does not accept takes
 /// the `serde_json` path, which also words every parse error.
-fn respond_into(advisor: &MultiAdvisor, line: &str, out: &mut String) {
+fn respond_into(advisor: &MultiAdvisor, line: &str, out: &mut String) -> Option<RequestKind> {
     let request = match wire::parse_request(line) {
         Some(request) => request,
         None => match serde_json::from_str::<AdviceRequest>(line) {
@@ -147,16 +146,22 @@ fn respond_into(advisor: &MultiAdvisor, line: &str, out: &mut String) {
             Err(e) => {
                 let error = format!("parse error: {e}");
                 out.push_str(&render_line(&ErrorLine { error, id: None }));
-                return;
+                return None;
             }
         },
     };
     match advisor.advise(&request) {
-        Ok(response) => wire::write_response(&response, out),
-        Err(e) => out.push_str(&render_line(&ErrorLine {
-            error: e.to_string(),
-            id: request.id,
-        })),
+        Ok(response) => {
+            wire::write_response(&response, out);
+            Some(request.kind)
+        }
+        Err(e) => {
+            out.push_str(&render_line(&ErrorLine {
+                error: e.to_string(),
+                id: request.id,
+            }));
+            None
+        }
     }
 }
 
@@ -165,22 +170,19 @@ fn respond_into(advisor: &MultiAdvisor, line: &str, out: &mut String) {
 /// A session wraps an [`AdvisorHandle`] and answers any mix of request lines and `!`
 /// control lines, preserving input order.  Request runs are answered in parallel over
 /// `threads` workers (`0` = all CPUs) by a snapshot of the current advisor; `!reload`
-/// swaps the pack between runs; `!stats` reports the sharded counters; `!metrics`
-/// dumps the process-global metric registry (`!metrics prom` as a Prometheus text
-/// exposition); `!trace` returns the flight recorder's recent spans; `!health`
-/// reports the SLO verdict, pack age/version, and recent errors.  The output for
-/// a given line sequence does not depend on how the lines are sliced across
-/// [`Session::process`] calls, which is what makes the file front end
-/// ([`serve_session`]) and the TCP front end (`tcp-serve`) byte-identical.
+/// swaps the pack between runs; `!stats` reports the live pack's counters and the
+/// session's own counts; `!metrics` dumps the process-global metric registry
+/// (`!metrics prom` as a Prometheus text exposition); `!trace` returns the flight
+/// recorder's recent spans; `!health` reports the SLO verdict, pack age/version,
+/// and recent errors.  The output for a given line sequence does not depend on how
+/// the lines are sliced across [`Session::process`] calls, which is what makes the
+/// file front end ([`serve_session`]) and the TCP front end (`tcp-serve`)
+/// byte-identical.
 pub struct Session<'a> {
     handle: &'a AdvisorHandle,
     threads: usize,
-    /// The advisor that answered this session's latest requests.
-    serving: Option<Arc<MultiAdvisor>>,
-    /// Counts of the advisors this session served from before `serving`, taken
-    /// when each was swapped out, so stats survive a reload without pinning
-    /// retired packs.
-    retired: AdvisorStats,
+    /// Queries this session answered, by kind; unaffected by `!reload`.
+    served: AdvisorStats,
     /// Request lines answered so far: the per-request trace-sampling seed.  Purely
     /// observational — responses never depend on it.
     requests_seen: u64,
@@ -192,8 +194,7 @@ impl<'a> Session<'a> {
         Session {
             handle,
             threads,
-            serving: None,
-            retired: AdvisorStats::default(),
+            served: AdvisorStats::default(),
             requests_seen: 0,
         }
     }
@@ -225,7 +226,7 @@ impl<'a> Session<'a> {
         if requests == 0 {
             return;
         }
-        let advisor = self.snapshot();
+        let advisor = self.handle.current();
         // Each request line gets a trace root seeded by its session-wide ordinal:
         // deterministic sampling, and the root opens *inside* the worker closure so
         // nesting works on whichever thread executes the task.  With inline batches
@@ -236,7 +237,7 @@ impl<'a> Session<'a> {
         if resolve_threads(self.threads, requests) == 1 {
             for (ordinal, line) in (base_ordinal..).zip(lines) {
                 let _root = tcp_obs::root_span!("serve.request", ordinal, ordinal);
-                respond_into(&advisor, line, out);
+                self.count(respond_into(&advisor, line, out));
                 out.push('\n');
             }
             return;
@@ -245,29 +246,21 @@ impl<'a> Session<'a> {
         let responses = run_tasks(segment.len(), self.threads, |i| {
             let ordinal = base_ordinal + i as u64;
             let _root = tcp_obs::root_span!("serve.request", ordinal, ordinal);
-            respond_line(&advisor, segment[i])
+            let mut response = String::with_capacity(512);
+            let answered = respond_into(&advisor, segment[i], &mut response);
+            (response, answered)
         });
-        for response in responses {
+        for (response, answered) in responses {
+            self.count(answered);
             out.push_str(&response);
             out.push('\n');
         }
     }
 
-    /// Snapshots the current advisor for [`Session::stats`].  When a reload
-    /// has swapped the pack, the retired advisor's counts fold into the
-    /// running total and its `Arc` is dropped.
-    fn snapshot(&mut self) -> Arc<MultiAdvisor> {
-        let advisor = self.handle.current();
-        if !self
-            .serving
-            .as_ref()
-            .is_some_and(|serving| Arc::ptr_eq(serving, &advisor))
-        {
-            if let Some(retired) = self.serving.replace(advisor.clone()) {
-                self.retired.merge(&retired.stats());
-            }
+    fn count(&mut self, answered: Option<RequestKind>) {
+        if let Some(kind) = answered {
+            self.served.add(kind, 1);
         }
-        advisor
     }
 
     /// Handles one `!` control line (leading `!` included), returning the response line
@@ -429,18 +422,10 @@ impl<'a> Session<'a> {
         )
     }
 
-    /// Query counters aggregated across *every* advisor that served part of this
-    /// session — a `!reload` swaps the advisor (and with it the live counters), so
-    /// reading only the final advisor's stats would drop everything answered before
-    /// the swap.  Pack counters are shared across sessions serving the same packs,
-    /// so with concurrent sessions this includes their traffic too: the live
-    /// pack's up to now, a retired pack's up to when this session moved off it.
+    /// Queries this session answered, by kind, across every `!reload` (a reload
+    /// swaps the pack and its counters, never these).
     pub fn stats(&self) -> AdvisorStats {
-        let mut stats = self.retired;
-        if let Some(serving) = &self.serving {
-            stats.merge(&serving.stats());
-        }
-        stats
+        self.served
     }
 }
 
@@ -454,8 +439,8 @@ pub fn serve_session(handle: &AdvisorHandle, input: &str, threads: usize) -> Str
     serve_session_with_stats(handle, input, threads).0
 }
 
-/// [`serve_session`], additionally returning the query counters aggregated across
-/// every advisor that served part of the stream (see [`Session::stats`]).
+/// [`serve_session`], additionally returning the queries the stream had answered, by
+/// kind (see [`Session::stats`]).
 pub fn serve_session_with_stats(
     handle: &AdvisorHandle,
     input: &str,
@@ -611,8 +596,8 @@ not json at all
             assert!(r1.iter().any(|r| r.kind == kind), "mix is missing {kind}");
         }
         // Every generated request is answerable.
-        for result in a.advise_batch(&r1, 0) {
-            result.unwrap();
+        for request in &r1 {
+            a.advise(request).unwrap();
         }
     }
 
@@ -742,10 +727,11 @@ dp_step_minutes = 30.0
         }
         session.process(&[query], &mut out);
         // Five reloads later, nothing but this test holds the first pack ...
-        assert_eq!(Arc::strong_count(&first), 1);
-        // ... and the live one is held by the handle, the session and this test.
-        assert_eq!(Arc::strong_count(&handle.current()), 3);
-        // Every retired pack's counts survived the swap.
+        assert_eq!(std::sync::Arc::strong_count(&first), 1);
+        // ... and the live one is held by the handle and this test alone: the
+        // session keeps counts, not packs.
+        assert_eq!(std::sync::Arc::strong_count(&handle.current()), 2);
+        // The session's count spans every reload.
         assert_eq!(session.stats().best_policy, 6);
     }
 

@@ -5,15 +5,14 @@
 //! program (Section 4.3) per query.  The `tabled_*` benches exercise the serving path
 //! end to end (validation, table lookups, response assembly); the `direct_*` benches
 //! answer the same questions from scratch the way the offline code does.  The headline
-//! comparisons: `tabled_checkpoint_plan` (~130 ns) vs `direct_checkpoint_plan_cold`
-//! (~300 ms — six orders of magnitude), and `tabled_best_policy` (~280 ns) vs
-//! `direct_best_policy` (~27 µs, ~100×).  `direct_should_reuse_quadrature` is the one
-//! direct path that is already cheap, because the bathtub model has a closed-form
-//! antiderivative; for empirical or phased ground truths (no closed form) the tabled
-//! path wins there too.
+//! comparisons are `tabled_checkpoint_plan` vs `direct_checkpoint_plan_cold` (a cold DP
+//! solve per query) and `tabled_best_policy` vs `direct_best_policy`; run the bench for
+//! the current figures.  `direct_should_reuse_quadrature` is the one direct path that
+//! is already cheap, because the bathtub model has a closed-form antiderivative; for
+//! empirical or phased ground truths (no closed form) the tabled path wins there too.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use tcp_advisor::{generate_requests, AdviceRequest, Advisor, PackBuilder};
+use tcp_advisor::{AdviceRequest, Advisor, PackBuilder};
 use tcp_core::analysis::expected_makespan_from_age;
 use tcp_core::BathtubModel;
 use tcp_policy::{
@@ -107,19 +106,6 @@ fn bench_advisor(c: &mut Criterion) {
             let a = average_failure_probability(&ours, &model, 6.0, 96).unwrap();
             let b2 = average_failure_probability(&memoryless, &model, 6.0, 96).unwrap();
             black_box(a < b2)
-        })
-    });
-    group.finish();
-
-    // --- Batch throughput over the work-stealing driver ---------------------------
-    let mut group = c.benchmark_group("advisor_batch");
-    let requests = generate_requests(advisor.pack(), 10_000, 2020);
-    group.sample_size(10);
-    group.bench_function("batch_10k_requests_all_cores", |b| {
-        b.iter(|| {
-            let responses = advisor.advise_batch(black_box(&requests), 0);
-            assert_eq!(responses.len(), requests.len());
-            responses
         })
     });
     group.finish();

@@ -144,43 +144,38 @@ pub fn histogram(name: &str) -> &'static Histogram {
 /// Most call sites use the [`time!`] macro, which also caches the registry lookup.
 #[must_use = "a span timer measures until dropped; binding it to `_` drops immediately"]
 pub struct SpanTimer {
-    histogram: Option<&'static Histogram>,
-    started: Instant,
+    /// The target histogram and the start instant; `None` for an inert timer.
+    timing: Option<(&'static Histogram, Instant)>,
 }
 
 impl SpanTimer {
-    /// Starts timing into `histogram`.
+    /// Starts timing into `histogram`; while recording is disabled
+    /// ([`set_enabled`]`(false)`) the timer is inert and reads no clock.
     pub fn start(histogram: &'static Histogram) -> Self {
+        if !enabled() {
+            return Self::disabled();
+        }
         SpanTimer {
-            histogram: Some(histogram),
-            started: Instant::now(),
+            timing: Some((histogram, Instant::now())),
         }
     }
 
-    /// A timer that records nowhere (used when recording is disabled, so disabled
-    /// spans skip even the histogram lookup).
+    /// A timer that records nowhere and reads no clock (used when recording is
+    /// disabled, so disabled spans skip even the histogram lookup).
     pub fn disabled() -> Self {
-        SpanTimer {
-            histogram: None,
-            started: Instant::now(),
-        }
-    }
-
-    /// Elapsed time so far.
-    pub fn elapsed(&self) -> std::time::Duration {
-        self.started.elapsed()
+        SpanTimer { timing: None }
     }
 
     /// Discards the span without recording.
     pub fn cancel(mut self) {
-        self.histogram = None;
+        self.timing = None;
     }
 }
 
 impl Drop for SpanTimer {
     fn drop(&mut self) {
-        if let Some(histogram) = self.histogram {
-            histogram.record_duration(self.started.elapsed());
+        if let Some((histogram, started)) = self.timing {
+            histogram.record_duration(started.elapsed());
         }
     }
 }

@@ -60,13 +60,6 @@ impl Counter {
             .map(|s| s.0.load(Ordering::Relaxed))
             .sum()
     }
-
-    /// Resets every shard to zero (used by pack-scoped stats on `!reload`).
-    pub fn reset(&self) {
-        for shard in &self.shards {
-            shard.0.store(0, Ordering::Relaxed);
-        }
-    }
 }
 
 /// A last-write-wins instantaneous value (queue depth, in-flight requests, K-S
@@ -239,13 +232,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counter_round_trips_and_resets() {
+    fn counter_round_trips() {
         let c = Counter::new();
         c.incr();
         c.add(41);
         assert_eq!(c.get(), 42);
-        c.reset();
-        assert_eq!(c.get(), 0);
     }
 
     #[test]

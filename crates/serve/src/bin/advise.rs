@@ -296,8 +296,8 @@ fn cmd_serve(argv: &[String]) -> Result<(), String> {
     let input = std::fs::read_to_string(input_path)
         .map_err(|e| format!("cannot read {}: {e}", input_path.display()))?;
     let started = Instant::now();
-    // Stats are aggregated across every advisor that served part of the stream —
-    // reading only the final advisor would drop counts from before a `!reload`.
+    // The session's own counts span every `!reload`; the final advisor's would
+    // drop what was answered before a swap.
     let (output, stats) = serve_session_with_stats(&handle, &input, args.threads);
     let elapsed = started.elapsed().as_secs_f64();
     write_or_print(&args.output, &output)?;

@@ -46,25 +46,25 @@
 //!
 //! `!stats` answers with one JSON object per probe ([`tcp_advisor::StatsLine`]); keys
 //! are deterministically sorted at every level (struct fields are declared
-//! alphabetically, nested maps are `BTreeMap`s):
+//! alphabetically, nested maps are `BTreeMap`s).  A real line, from `advise serve`
+//! on the `advisor-smoke` pack after one `best-policy` and one `should-reuse` query:
 //!
 //! ```json
-//! {"cells": 0,
-//!  "control": "stats",
-//!  "current":  {"best_policy": 2, "checkpoint_plan": 0, "expected_cost_makespan": 0, "should_reuse": 0},
-//!  "dp_families": {"bathtub": 2},
-//!  "pack": "tiny-pack",
-//!  "served":   {"best_policy": 2, "checkpoint_plan": 0, "expected_cost_makespan": 0, "should_reuse": 0},
-//!  "served_families": {"bathtub": 2}}
+//! {"cells":0,"control":"stats","current":{"best_policy":1,"checkpoint_plan":0,"expected_cost_makespan":0,"should_reuse":1},"dp_families":{"bathtub":2},"pack":"advisor-smoke","pack_age_secs":6.4908e-5,"pack_format_version":3,"served":{"best_policy":1,"checkpoint_plan":0,"expected_cost_makespan":0,"should_reuse":1},"served_families":{"bathtub":2},"uptime_secs":6.4999e-5}
 //! ```
 //!
 //! * `cells` — routable cell packs currently loaded (`0` for a single pack);
 //! * `current` — query counters of the pack currently being served (server-wide since
 //!   the last `!reload`);
-//! * `served` — counters summed over every pack this *session* (connection) has
-//!   served from, surviving reloads;
+//! * `served` — the queries this *session* (connection) answered itself, surviving
+//!   reloads; other connections' traffic shows only in `current`;
 //! * `served_families` / `dp_families` — queries per model family of the answering
-//!   regime's served curves / DP tables (non-zero entries only, sorted).
+//!   regime's served curves / DP tables (non-zero entries only, sorted), same scope
+//!   as `current`;
+//! * `pack_age_secs` / `pack_format_version` — seconds since the served pack was
+//!   swapped in, and its format version;
+//! * `uptime_secs` — seconds since the process's observability epoch (the clock
+//!   `!health` reports).
 //!
 //! `!metrics` answers with `{"control":"metrics","metrics":{...}}` where `metrics` is
 //! the process-global registry snapshot: counters as integers, gauges as numbers, and

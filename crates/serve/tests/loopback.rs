@@ -325,6 +325,43 @@ fn stats_control_line_answers_health_probes() {
 }
 
 #[test]
+fn stats_served_counts_only_the_connections_own_queries() {
+    let json = tiny_pack_json("per-connection", "exp8", 8.0);
+    let server = start(&json, ServeOptions::default());
+    let addr = server.local_addr().to_string();
+    let query = "{\"kind\":\"best-policy\",\"regime\":\"exp8\"}\n";
+
+    // Connection A sends two queries, reads both answers, and stays open.
+    let stream = TcpStream::connect(&addr).unwrap();
+    let mut writer = BufWriter::new(stream.try_clone().unwrap());
+    let mut reader = BufReader::new(stream);
+    writer.write_all(query.repeat(2).as_bytes()).unwrap();
+    writer.flush().unwrap();
+    for _ in 0..2 {
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        assert!(line.contains("best-policy"), "{line}");
+    }
+
+    // Connection B sends three and closes.
+    let out = run_client(&addr, &query.repeat(3)).unwrap();
+    assert_eq!(out.lines().count(), 3);
+
+    // A's `served` holds its own two; `current` sees all five on the shared pack.
+    writer.write_all(b"!stats\n").unwrap();
+    writer.flush().unwrap();
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    let stats: tcp_advisor::StatsLine = serde_json::from_str(line.trim()).unwrap();
+    assert_eq!(stats.served.total(), 2);
+    assert_eq!(stats.current.total(), 5);
+    drop(writer);
+    drop(reader);
+    server.shutdown();
+    server.join();
+}
+
+#[test]
 fn shutdown_control_line_drains_and_exits() {
     let json = tiny_pack_json("drain", "exp8", 8.0);
     let corpus = requests_to_ndjson(&generate_requests(advisor(&json).pooled().pack(), 200, 3));
